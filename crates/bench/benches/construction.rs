@@ -5,22 +5,22 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 use dmf_bench::micro::MicroBench;
 use dmf_forest::{build_forest, ReusePolicy};
-use dmf_mixalgo::BaseAlgorithm;
+use dmf_mixalgo::{MinMix, MixingAlgorithm, ALGORITHMS};
 use dmf_ratio::TargetRatio;
 use dmf_workloads::protocols;
 
 fn main() {
     let mut suite = MicroBench::new("construction");
     for protocol in protocols::table2_examples() {
-        for algorithm in BaseAlgorithm::ALL {
-            let ratio = protocol.ratio.clone();
-            suite.bench(format!("base_tree/{}/{}", algorithm.name(), protocol.id), move || {
-                algorithm.algorithm().build_graph(&ratio).unwrap()
+        for entry in ALGORITHMS.seeded() {
+            let (algorithm, ratio) = (entry.id, protocol.ratio.clone());
+            suite.bench(format!("base_tree/{}/{}", algorithm.label(), protocol.id), move || {
+                algorithm.build_graph(&ratio).unwrap()
             });
         }
     }
     let target = TargetRatio::new(vec![2, 1, 1, 1, 1, 1, 9]).unwrap();
-    let template = BaseAlgorithm::MinMix.algorithm().build_template(&target).unwrap();
+    let template = MinMix.build_template(&target).unwrap();
     for demand in [16u64, 64, 256, 1024] {
         suite.bench(format!("forest_build/{demand}"), || {
             build_forest(&template, &target, demand, ReusePolicy::AcrossTrees).unwrap()

@@ -6,13 +6,13 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 use dmf_bench::micro::MicroBench;
 use dmf_forest::{build_forest, ReusePolicy};
-use dmf_mixalgo::BaseAlgorithm;
+use dmf_mixalgo::{MinMix, MixingAlgorithm};
 use dmf_ratio::TargetRatio;
 use dmf_sched::{mms_schedule, oms_schedule, srs_schedule};
 
 fn forests() -> Vec<(u64, dmf_mixgraph::MixGraph)> {
     let target = TargetRatio::new(vec![2, 1, 1, 1, 1, 1, 9]).unwrap();
-    let template = BaseAlgorithm::MinMix.algorithm().build_template(&target).unwrap();
+    let template = MinMix.build_template(&target).unwrap();
     [32u64, 128, 512]
         .into_iter()
         .map(|d| (d, build_forest(&template, &target, d, ReusePolicy::AcrossTrees).unwrap()))

@@ -9,7 +9,7 @@
 //! ```
 //!
 //! Each trial runs a whole resilient campaign
-//! ([`dmf_fault::run_resilient`]): seeded fault injection, sensor-cycle
+//! ([`dmf_fault::run_campaign`]): seeded fault injection, sensor-cycle
 //! detection, demand-level re-synthesis and rerouting around diagnosed
 //! dead electrodes. Yield is the fraction of trials that delivered the
 //! full demand; overhead is the extra completion time over the
@@ -21,8 +21,8 @@
 // deny wall applies to library code only (see Cargo.toml).
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 use dmf_bench::{export_obs, obs_from_env};
-use dmf_engine::{EngineConfig, PlanCache, RecoveryPolicy};
-use dmf_fault::{run_resilient_cached, FaultConfig};
+use dmf_engine::{PlanCache, RecoveryPolicy};
+use dmf_fault::{run_campaign, Campaign, FaultConfig, WearTracker};
 use dmf_obs::{MetricsReport, Table};
 use dmf_workloads::protocols;
 use std::process::ExitCode;
@@ -90,15 +90,18 @@ fn main() -> ExitCode {
                     .wrapping_add(1_000_003 * p as u64)
                     .wrapping_add(1_009 * trial)
                     .wrapping_add((rate * 1e6) as u64);
-                let config = FaultConfig::default().with_seed(seed).with_fault_rate(rate);
-                let policy = RecoveryPolicy::default().with_max_replans(64);
-                match run_resilient_cached(
+                let campaign = Campaign {
+                    faults: FaultConfig::default().with_seed(seed).with_fault_rate(rate),
+                    policy: RecoveryPolicy::default().with_max_replans(64),
+                    ..Campaign::default()
+                };
+                // Independent trials: each starts on a pristine chip.
+                match run_campaign(
                     &protocol.ratio,
                     args.demand,
-                    EngineConfig::default(),
-                    &config,
-                    policy,
+                    &campaign,
                     std::sync::Arc::clone(&cache),
+                    &mut WearTracker::new(),
                 ) {
                     Ok(out) => {
                         if out.demand_met() {

@@ -16,9 +16,9 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 use dmf_bench::{export_obs, obs_from_env, run_schemes_batch, Scheme};
 use dmf_engine::PlanCache;
-use dmf_mixalgo::MixingAlgorithmRegistry;
+use dmf_mixalgo::ALGORITHMS;
 use dmf_obs::Table;
-use dmf_sched::SchedulerId;
+use dmf_sched::MMS;
 use dmf_workloads::synthetic;
 
 fn main() {
@@ -34,9 +34,9 @@ fn main() {
         corpus.len()
     );
     let mut schemes = Vec::new();
-    for entry in MixingAlgorithmRegistry::entries() {
+    for entry in ALGORITHMS.entries() {
         schemes.push(Scheme::Repeated(entry.id));
-        schemes.push(Scheme::Streaming(entry.id, SchedulerId::MMS));
+        schemes.push(Scheme::Streaming(entry.id, MMS));
     }
     let mut headers = vec!["D".to_owned()];
     headers.extend(schemes.iter().map(|s| format!("Tc {}", s.name())));

@@ -32,16 +32,15 @@ pub mod micro;
 
 use dmf_chip::CostMatrix;
 use dmf_engine::{EngineConfig, MixerBudget, PassPlan, StreamPlan, StreamingEngine};
-use dmf_mixalgo::{AlgorithmId, BaseAlgorithm, Capabilities, MixingAlgorithmRegistry};
+use dmf_mixalgo::{AlgorithmId, Capabilities, MinMix, MixingAlgorithm, ALGORITHMS};
 use dmf_mixgraph::{NodeId, Operand};
 use dmf_ratio::TargetRatio;
-use dmf_sched::{mixer_lower_bound, SchedulerId, SchedulerRegistry};
+use dmf_sched::{mixer_lower_bound, SchedulerId, SCHEDULERS};
 
 /// The nine evaluation schemes of Table 2, in column order A–I.
 ///
 /// Schemes carry registry ids ([`AlgorithmId`] / [`SchedulerId`]), so any
-/// registered algorithm can drive an exhibit; `BaseAlgorithm` /
-/// `SchedulerKind` enum values still convert via `.into()`.
+/// registered algorithm can drive an exhibit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scheme {
     /// Repeated base-tree passes (the paper's RMM / RRMA / RMTCS).
@@ -57,9 +56,10 @@ pub enum Scheme {
 /// capability row differs) and streaming-native algorithms stay out, as in
 /// the paper.
 pub fn sdst_baselines() -> Vec<AlgorithmId> {
-    MixingAlgorithmRegistry::entries()
+    ALGORITHMS
+        .entries()
         .into_iter()
-        .filter(|e| e.id.algorithm().capabilities() == Capabilities::SDST_ONLY)
+        .filter(|e| e.id.capabilities() == Capabilities::SDST_ONLY)
         .map(|e| e.id)
         .collect()
 }
@@ -70,8 +70,7 @@ impl Scheme {
     /// sweeping [`sdst_baselines`] against every registered scheduler, so
     /// registering a new SDST algorithm (or scheduler) grows the table.
     pub fn table2_columns() -> Vec<Scheme> {
-        let schedulers: Vec<SchedulerId> =
-            SchedulerRegistry::entries().into_iter().map(|e| e.id).collect();
+        let schedulers: Vec<SchedulerId> = SCHEDULERS.entries().into_iter().map(|e| e.id).collect();
         let mut columns = Vec::new();
         for algorithm in sdst_baselines() {
             columns.push(Scheme::Repeated(algorithm));
@@ -233,7 +232,7 @@ pub fn run_schemes_batch(
 /// `Mlb` of the target's MinMix tree — the mixer budget every Table 2
 /// scheme runs with.
 fn minmix_mlb(target: &TargetRatio) -> Result<usize, dmf_engine::EngineError> {
-    let mm = BaseAlgorithm::MinMix.algorithm().build_graph(target)?;
+    let mm = MinMix.build_graph(target)?;
     Ok(mixer_lower_bound(&mm)?)
 }
 
@@ -398,7 +397,7 @@ mod tests {
         // Table 2 column A: every L = 256 example costs 16 passes x 8
         // cycles = 128 under RMM.
         for protocol in protocols::table2_examples() {
-            let r = run_scheme(Scheme::Repeated(AlgorithmId::MINMIX), &protocol.ratio, 32).unwrap();
+            let r = run_scheme(Scheme::Repeated(dmf_mixalgo::MINMIX), &protocol.ratio, 32).unwrap();
             assert_eq!(r.cycles, 128, "{}", protocol.id);
         }
     }
@@ -409,7 +408,7 @@ mod tests {
             for algorithm in sdst_baselines() {
                 let repeated =
                     run_scheme(Scheme::Repeated(algorithm), &protocol.ratio, 32).unwrap();
-                for scheduler in [SchedulerId::MMS, SchedulerId::SRS] {
+                for scheduler in [dmf_sched::MMS, dmf_sched::SRS] {
                     let streaming =
                         run_scheme(Scheme::Streaming(algorithm, scheduler), &protocol.ratio, 32)
                             .unwrap();

@@ -147,13 +147,13 @@ pub fn check_schedule(
 mod tests {
     use super::*;
     use dmf_forest::{build_forest, ReusePolicy};
-    use dmf_mixalgo::BaseAlgorithm;
+    use dmf_mixalgo::{MinMix, MixingAlgorithm};
     use dmf_ratio::TargetRatio;
-    use dmf_sched::SchedulerKind;
+    use dmf_sched::{MMS, SRS};
 
     fn pcr_forest(demand: u64) -> (MixGraph, TargetRatio) {
         let target = TargetRatio::new(vec![2, 1, 1, 1, 1, 1, 9]).expect("valid ratio");
-        let template = BaseAlgorithm::MinMix.algorithm().build_template(&target).expect("template");
+        let template = MinMix.build_template(&target).expect("template");
         let forest =
             build_forest(&template, &target, demand, ReusePolicy::AcrossTrees).expect("forest");
         (forest, target)
@@ -162,13 +162,13 @@ mod tests {
     #[test]
     fn good_schedules_are_clean_and_recount_matches() {
         for demand in [2, 16, 20] {
-            for kind in [SchedulerKind::Mms, SchedulerKind::Srs] {
+            for kind in [MMS, SRS] {
                 let (forest, _) = pcr_forest(demand);
-                let schedule = kind.run(&forest, 3).expect("schedule");
+                let schedule = kind.schedule(&forest, 3).expect("schedule");
                 let q = schedule.storage(&forest).peak;
                 assert_eq!(recount_storage_units(&forest, &schedule), q);
                 let report = check_schedule(&forest, &schedule, Some(q));
-                assert!(report.is_empty(), "D={demand} {kind:?}: {report}");
+                assert!(report.is_empty(), "D={demand} {kind}: {report}");
             }
         }
     }
@@ -177,14 +177,14 @@ mod tests {
     fn fig3_oracle_storage_recount() {
         // Fig. 3: PCR d=4, D=20, SRS on 3 mixers stores at most 5 droplets.
         let (forest, _) = pcr_forest(20);
-        let schedule = SchedulerKind::Srs.run(&forest, 3).expect("schedule");
+        let schedule = SRS.schedule(&forest, 3).expect("schedule");
         assert_eq!(recount_storage_units(&forest, &schedule), 5);
     }
 
     #[test]
     fn wrong_claimed_storage_trips_sch005() {
         let (forest, _) = pcr_forest(8);
-        let schedule = SchedulerKind::Srs.run(&forest, 3).expect("schedule");
+        let schedule = SRS.schedule(&forest, 3).expect("schedule");
         let q = schedule.storage(&forest).peak;
         let report = check_schedule(&forest, &schedule, Some(q + 1));
         assert!(report.has(RuleCode::Sch005), "{report}");

@@ -46,15 +46,15 @@ impl PlanRequest {
     }
 
     /// This request planned with the named mixing algorithm, resolved
-    /// against the [`dmf_mixalgo::MixingAlgorithmRegistry`] (keys, labels
-    /// and aliases, case-insensitive).
+    /// against [`dmf_mixalgo::ALGORITHMS`] (keys, labels and aliases,
+    /// case-insensitive).
     ///
     /// # Errors
     ///
     /// Returns [`EngineError::UnknownAlgorithm`] (listing the registered
     /// keys) when `name` does not resolve.
     pub fn with_algorithm(mut self, name: &str) -> Result<Self, EngineError> {
-        self.config.algorithm = dmf_mixalgo::MixingAlgorithmRegistry::resolve(name)?;
+        self.config.algorithm = dmf_mixalgo::ALGORITHMS.resolve(name)?;
         Ok(self)
     }
 }

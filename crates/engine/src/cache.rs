@@ -410,7 +410,7 @@ mod tests {
         assert_eq!(a.fingerprint(), b.fingerprint());
         // Every component of the tuple must perturb the address.
         assert_ne!(a.fingerprint(), PlanKey::new(&config, &pcr_d4(), 22).fingerprint());
-        let mms = config.with_scheduler(dmf_sched::SchedulerKind::Mms);
+        let mms = config.with_scheduler(dmf_sched::MMS);
         assert_ne!(a.fingerprint(), PlanKey::new(&mms, &pcr_d4(), 20).fingerprint());
         let limited = config.with_storage_limit(5);
         assert_ne!(a.fingerprint(), PlanKey::new(&limited, &pcr_d4(), 20).fingerprint());

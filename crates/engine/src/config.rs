@@ -21,9 +21,8 @@ pub enum MixerBudget {
 ///
 /// Algorithm and scheduler are registry ids
 /// ([`dmf_mixalgo::AlgorithmId`] / [`dmf_sched::SchedulerId`]), so any
-/// registered algorithm — not just the [`dmf_mixalgo::BaseAlgorithm`]
-/// baselines — can drive the engine; the enum values still convert
-/// (`config.with_algorithm(BaseAlgorithm::Rma)`).
+/// algorithm or scheduler registered in [`dmf_mixalgo::ALGORITHMS`] /
+/// [`dmf_sched::SCHEDULERS`] can drive the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EngineConfig {
     /// Base mixing-tree algorithm seeding the forest.
@@ -42,8 +41,8 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            algorithm: AlgorithmId::MINMIX,
-            scheduler: SchedulerId::SRS,
+            algorithm: dmf_mixalgo::MINMIX,
+            scheduler: dmf_sched::SRS,
             mixers: MixerBudget::MmLowerBound,
             storage_limit: None,
             reuse: ReusePolicy::AcrossTrees,
@@ -64,18 +63,15 @@ impl EngineConfig {
         self
     }
 
-    /// Shorthand: this config with another base algorithm (a
-    /// [`dmf_mixalgo::BaseAlgorithm`] or any registered
-    /// [`AlgorithmId`]).
-    pub fn with_algorithm(mut self, algorithm: impl Into<AlgorithmId>) -> Self {
-        self.algorithm = algorithm.into();
+    /// Shorthand: this config with another base algorithm.
+    pub fn with_algorithm(mut self, algorithm: AlgorithmId) -> Self {
+        self.algorithm = algorithm;
         self
     }
 
-    /// Shorthand: this config with another scheduler (a
-    /// [`dmf_sched::SchedulerKind`] or any registered [`SchedulerId`]).
-    pub fn with_scheduler(mut self, scheduler: impl Into<SchedulerId>) -> Self {
-        self.scheduler = scheduler.into();
+    /// Shorthand: this config with another scheduler.
+    pub fn with_scheduler(mut self, scheduler: SchedulerId) -> Self {
+        self.scheduler = scheduler;
         self
     }
 }
@@ -83,14 +79,14 @@ impl EngineConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dmf_mixalgo::BaseAlgorithm;
-    use dmf_sched::SchedulerKind;
+    use dmf_mixalgo::{MINMIX, MTCS, RMA};
+    use dmf_sched::{MMS, SRS};
 
     #[test]
     fn default_matches_paper_headline() {
         let c = EngineConfig::default();
-        assert_eq!(c.algorithm, BaseAlgorithm::MinMix);
-        assert_eq!(c.scheduler, SchedulerKind::Srs);
+        assert_eq!(c.algorithm, MINMIX);
+        assert_eq!(c.scheduler, SRS);
         assert_eq!(c.mixers, MixerBudget::MmLowerBound);
         assert_eq!(c.storage_limit, None);
     }
@@ -100,18 +96,18 @@ mod tests {
         let c = EngineConfig::default()
             .with_mixers(5)
             .with_storage_limit(3)
-            .with_algorithm(BaseAlgorithm::Rma)
-            .with_scheduler(SchedulerKind::Mms);
+            .with_algorithm(RMA)
+            .with_scheduler(MMS);
         assert_eq!(c.mixers, MixerBudget::Fixed(5));
         assert_eq!(c.storage_limit, Some(3));
-        assert_eq!(c.algorithm, BaseAlgorithm::Rma);
-        assert_eq!(c.scheduler, SchedulerKind::Mms);
+        assert_eq!(c.algorithm, RMA);
+        assert_eq!(c.scheduler, MMS);
     }
 
     #[test]
     fn registry_ids_slot_in_directly() {
-        let c = EngineConfig::default().with_algorithm(AlgorithmId::MTCS);
-        assert_eq!(c.algorithm, AlgorithmId::MTCS);
+        let c = EngineConfig::default().with_algorithm(MTCS);
+        assert_eq!(c.algorithm, MTCS);
         assert_eq!(c.algorithm.key(), "mtcs");
     }
 }

@@ -1,6 +1,7 @@
 use dmf_chip::ChipError;
 use dmf_forest::ForestError;
 use dmf_mixalgo::MixAlgoError;
+use dmf_registry::UnknownNameError;
 use dmf_sched::SchedError;
 use dmf_sim::SimError;
 use std::error::Error;
@@ -33,14 +34,9 @@ pub enum EngineError {
         /// Storage cells on the chip.
         available: usize,
     },
-    /// An algorithm name did not resolve against the
-    /// [`dmf_mixalgo::MixingAlgorithmRegistry`].
-    UnknownAlgorithm {
-        /// The name that failed to resolve.
-        name: String,
-        /// The registry keys at the time of the lookup.
-        known: Vec<&'static str>,
-    },
+    /// An algorithm name did not resolve against
+    /// [`dmf_mixalgo::ALGORITHMS`].
+    UnknownAlgorithm(UnknownNameError),
     /// Base-tree construction failed.
     Algo(MixAlgoError),
     /// Forest construction failed.
@@ -79,9 +75,7 @@ impl fmt::Display for EngineError {
             EngineError::StorageExhausted { available } => {
                 write!(f, "chip has only {available} storage cells")
             }
-            EngineError::UnknownAlgorithm { name, known } => {
-                write!(f, "unknown mixing algorithm {:?} (registered: {})", name, known.join(", "))
-            }
+            EngineError::UnknownAlgorithm(e) => write!(f, "{e}"),
             EngineError::Algo(e) => write!(f, "base-tree construction failed: {e}"),
             EngineError::Forest(e) => write!(f, "forest construction failed: {e}"),
             EngineError::Sched(e) => write!(f, "scheduling failed: {e}"),
@@ -114,9 +108,9 @@ impl From<MixAlgoError> for EngineError {
     }
 }
 
-impl From<dmf_mixalgo::UnknownAlgorithmError> for EngineError {
-    fn from(e: dmf_mixalgo::UnknownAlgorithmError) -> Self {
-        EngineError::UnknownAlgorithm { name: e.name, known: e.known }
+impl From<UnknownNameError> for EngineError {
+    fn from(e: UnknownNameError) -> Self {
+        EngineError::UnknownAlgorithm(e)
     }
 }
 

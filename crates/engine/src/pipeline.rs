@@ -41,7 +41,7 @@
 //! route through the same `MetaStage`-wrapped stages.
 
 use crate::{EngineConfig, EngineError, MixerBudget, PassPlan, StreamPlan};
-use dmf_mixalgo::{BaseAlgorithm, Template};
+use dmf_mixalgo::{MinMix, MixingAlgorithm, Template};
 use dmf_mixgraph::MixGraph;
 use dmf_ratio::TargetRatio;
 use dmf_sched::mixer_lower_bound;
@@ -187,7 +187,7 @@ pub(crate) fn resolve_mixers(
     match config.mixers {
         MixerBudget::Fixed(m) => Ok(m),
         MixerBudget::MmLowerBound => {
-            let mm = BaseAlgorithm::MinMix.algorithm().build_graph(target)?;
+            let mm = MinMix.build_graph(target)?;
             Ok(mixer_lower_bound(&mm)?)
         }
     }
@@ -210,7 +210,7 @@ impl Stage for BuildTree {
     fn run(&self, ctx: &mut PlanContext<'_>) -> Result<(), EngineError> {
         if ctx.template.is_none() {
             let _span = dmf_obs::span!("mixalgo_build");
-            ctx.template = Some(ctx.config.algorithm.algorithm().build_template(ctx.target)?);
+            ctx.template = Some(ctx.config.algorithm.build_template(ctx.target)?);
         }
         if ctx.mixers.is_none() {
             ctx.mixers = Some(resolve_mixers(&ctx.config, ctx.target)?);
@@ -236,7 +236,7 @@ impl Stage for BuildForest {
         // Subgraph-sharing base algorithms (MTCS, RSM) reuse droplets even
         // within one tree; their forests must too, or the engine would lose
         // the sharing the repeated baseline enjoys.
-        let reuse = if ctx.config.algorithm.algorithm().shares_subgraphs() {
+        let reuse = if ctx.config.algorithm.shares_subgraphs() {
             dmf_forest::ReusePolicy::Eager
         } else {
             ctx.config.reuse
@@ -263,7 +263,7 @@ impl Stage for Schedule {
             ctx.pass_demand.ok_or_else(|| internal("schedule ran without a pass demand"))?;
         let forest =
             ctx.pending_forest.take().ok_or_else(|| internal("schedule ran without a forest"))?;
-        let schedule = ctx.config.scheduler.run(&forest, ctx.ready_mixers()?)?;
+        let schedule = ctx.config.scheduler.schedule(&forest, ctx.ready_mixers()?)?;
         let storage = schedule.storage(&forest);
         ctx.candidate = Some(PassPlan { demand, forest, schedule, storage });
         Ok(())

@@ -229,7 +229,7 @@ fn preflight(target: &TargetRatio, demand: u64) -> Result<(), EngineError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dmf_sched::SchedulerKind;
+    use dmf_sched::MMS;
 
     fn pcr_d4() -> TargetRatio {
         TargetRatio::new(vec![2, 1, 1, 1, 1, 1, 9]).unwrap()
@@ -299,7 +299,7 @@ mod tests {
     fn mms_is_no_slower_than_srs() {
         let target = pcr_d4();
         let srs = StreamingEngine::new(EngineConfig::default()).plan(&target, 32).unwrap();
-        let mms = StreamingEngine::new(EngineConfig::default().with_scheduler(SchedulerKind::Mms))
+        let mms = StreamingEngine::new(EngineConfig::default().with_scheduler(MMS))
             .plan(&target, 32)
             .unwrap();
         assert!(mms.total_cycles <= srs.total_cycles);
@@ -332,7 +332,7 @@ mod tests {
     fn config_perturbations_do_not_alias_in_the_cache() {
         let cache = PlanCache::shared();
         let srs = StreamingEngine::new(EngineConfig::default()).with_cache(Arc::clone(&cache));
-        let mms = StreamingEngine::new(EngineConfig::default().with_scheduler(SchedulerKind::Mms))
+        let mms = StreamingEngine::new(EngineConfig::default().with_scheduler(MMS))
             .with_cache(Arc::clone(&cache));
         let a = srs.plan_shared(&pcr_d4(), 32).unwrap();
         let b = mms.plan_shared(&pcr_d4(), 32).unwrap();

@@ -1,25 +1,37 @@
 //! Registry-dispatch guarantees of the pluggable pipeline:
 //!
-//! * every registered (algorithm, scheduler) pair plans the paper's five
-//!   Table 2 protocols byte-identically whether the config is built from
-//!   registry-resolved ids or from the legacy enums;
+//! * every seeded (algorithm, scheduler) pair plans the paper's five
+//!   Table 2 protocols byte-identically whichever of its registered names
+//!   (key, label, alias) the config was resolved from;
 //! * each `MetaStage`-wrapped stage emits exactly one span per run under
 //!   its legacy name, correctly parented (`stage_build_forest` and
 //!   `stage_schedule` nest under `stage_split_passes`);
 //! * a brand-new algorithm registered from the outside — no edits to
-//!   `BaseAlgorithm`, `SchedulerKind` or the engine — reaches
-//!   `PlanRequest::with_algorithm` and `plan_batch`.
+//!   `dmf-mixalgo` or the engine — reaches `PlanRequest::with_algorithm`
+//!   and `plan_batch`.
+//!
+//! Every test here plans through the engine, and planning bumps the
+//! process-global `dmf_obs` stage counters and spans that two of the tests
+//! read back exactly, so the tests take [`PLANNING`] to run one at a time.
 
 // Test target: the workspace `unwrap_used`/`expect_used`/`panic` deny wall
 // applies to library code only (see Cargo.toml).
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 use dmf_engine::{plan_batch, BatchOptions, EngineConfig, PlanRequest, StreamingEngine};
 use dmf_mixalgo::{
-    AlgorithmEntry, AlgorithmId, BaseAlgorithm, Capabilities, MinMix, MixAlgoError,
-    MixingAlgorithm, MixingAlgorithmRegistry, Template,
+    AlgorithmEntry, AlgorithmId, Capabilities, MinMix, MixAlgoError, MixingAlgorithm, Template,
+    ALGORITHMS,
 };
 use dmf_ratio::TargetRatio;
-use dmf_sched::{SchedulerId, SchedulerKind, SchedulerRegistry};
+use dmf_sched::SCHEDULERS;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Serializes the tests of this binary that plan (see the module docs).
+static PLANNING: Mutex<()> = Mutex::new(());
+
+fn planning() -> MutexGuard<'static, ()> {
+    PLANNING.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// The five Table 2 bioprotocol ratios (Ex.1–Ex.5, all `L = 256`).
 fn table2_ratios() -> Vec<TargetRatio> {
@@ -52,26 +64,32 @@ fn render(plan: &dmf_engine::StreamPlan) -> String {
 }
 
 #[test]
-fn registry_dispatch_is_byte_identical_to_enum_dispatch() {
-    for algorithm in BaseAlgorithm::ALL {
-        for scheduler in SchedulerKind::ALL {
-            let via_enum =
-                EngineConfig::default().with_algorithm(algorithm).with_scheduler(scheduler);
-            let algo_key = AlgorithmId::from(algorithm).key();
-            let sched_key = SchedulerId::from(scheduler).key();
-            let via_registry = EngineConfig::default()
-                .with_algorithm(MixingAlgorithmRegistry::resolve(algo_key).unwrap())
-                .with_scheduler(SchedulerRegistry::resolve(sched_key).unwrap());
-            assert_eq!(via_enum, via_registry);
-            for ratio in table2_ratios() {
-                let enum_plan = StreamingEngine::new(via_enum).plan(&ratio, 32).unwrap();
-                let registry_plan = StreamingEngine::new(via_registry).plan(&ratio, 32).unwrap();
-                assert_eq!(
-                    render(&enum_plan),
-                    render(&registry_plan),
-                    "{algo_key}+{sched_key} diverged on {:?}",
-                    ratio.parts()
-                );
+fn every_registered_name_plans_byte_identically() {
+    let _planning = planning();
+    for algorithm in ALGORITHMS.seeded() {
+        for scheduler in SCHEDULERS.seeded() {
+            let config =
+                EngineConfig::default().with_algorithm(algorithm.id).with_scheduler(scheduler.id);
+            let plans: Vec<String> = table2_ratios()
+                .iter()
+                .map(|ratio| render(&StreamingEngine::new(config).plan(ratio, 32).unwrap()))
+                .collect();
+            let aliases = algorithm.aliases.iter().copied();
+            for algo_name in [algorithm.id.key(), algorithm.id.label()].into_iter().chain(aliases) {
+                let resolved = EngineConfig::default()
+                    .with_algorithm(ALGORITHMS.resolve(algo_name).unwrap())
+                    .with_scheduler(SCHEDULERS.resolve(scheduler.id.label()).unwrap());
+                assert_eq!(resolved, config);
+                for (ratio, plan) in table2_ratios().iter().zip(&plans) {
+                    let resolved_plan = StreamingEngine::new(resolved).plan(ratio, 32).unwrap();
+                    assert_eq!(
+                        &render(&resolved_plan),
+                        plan,
+                        "{algo_name}+{} diverged on {:?}",
+                        scheduler.id,
+                        ratio.parts()
+                    );
+                }
             }
         }
     }
@@ -79,6 +97,7 @@ fn registry_dispatch_is_byte_identical_to_enum_dispatch() {
 
 #[test]
 fn every_stage_emits_one_span_under_its_legacy_name() {
+    let _planning = planning();
     let recorder = dmf_obs::global();
     recorder.set_enabled(true);
     let target = TargetRatio::new(vec![2, 1, 1, 1, 1, 1, 9]).unwrap();
@@ -117,6 +136,7 @@ fn every_stage_emits_one_span_under_its_legacy_name() {
 
 #[test]
 fn per_stage_counters_track_runs() {
+    let _planning = planning();
     let recorder = dmf_obs::global();
     recorder.set_enabled(true);
     let target = TargetRatio::new(vec![2, 1, 1, 1, 1, 1, 9]).unwrap();
@@ -146,18 +166,20 @@ impl MixingAlgorithm for MirrorMix {
 
 #[test]
 fn an_outside_algorithm_reaches_the_engine_through_the_registry() {
+    let _planning = planning();
     static MIRROR: MirrorMix = MirrorMix;
-    MixingAlgorithmRegistry::register(AlgorithmEntry {
-        id: AlgorithmId::new("mirror", "MIRROR", &MIRROR),
-        description: "test-only MinMix mirror",
-        aliases: &["looking-glass"],
-    })
-    .unwrap();
+    ALGORITHMS
+        .register(AlgorithmEntry {
+            id: AlgorithmId::new("mirror", "MIRROR", &MIRROR),
+            description: "test-only MinMix mirror",
+            aliases: &["looking-glass"],
+        })
+        .unwrap();
 
     // Resolvable by key and alias; listed alongside the seeded baselines.
-    let id = MixingAlgorithmRegistry::resolve("looking-glass").unwrap();
+    let id = ALGORITHMS.resolve("looking-glass").unwrap();
     assert_eq!(id.key(), "mirror");
-    assert!(MixingAlgorithmRegistry::entries().iter().any(|e| e.id.key() == "mirror"));
+    assert!(ALGORITHMS.entries().iter().any(|e| e.id.key() == "mirror"));
 
     // Reaches plan_batch through PlanRequest::with_algorithm, and plans
     // byte-identically to the MinMix it mirrors.
@@ -172,9 +194,9 @@ fn an_outside_algorithm_reaches_the_engine_through_the_registry() {
     // Unknown names keep failing typed, now listing the newcomer too.
     let err = PlanRequest::new(target, 32).with_algorithm("nonesuch").unwrap_err();
     match err {
-        dmf_engine::EngineError::UnknownAlgorithm { name, known } => {
-            assert_eq!(name, "nonesuch");
-            assert!(known.contains(&"mirror") && known.contains(&"mm"));
+        dmf_engine::EngineError::UnknownAlgorithm(e) => {
+            assert_eq!(e.name, "nonesuch");
+            assert!(e.known.contains(&"mirror") && e.known.contains(&"mm"));
         }
         other => panic!("expected UnknownAlgorithm, got {other:?}"),
     }

@@ -18,27 +18,26 @@
 //!   plan for one run (same seed, same history → same plan);
 //! * [`lineage`] — reconstructs droplet contents from a trace, the
 //!   ground truth for salvage crediting and CF verification;
-//! * [`run_resilient`] — the campaign loop: realize, run under faults,
+//! * [`run_campaign`] — the campaign loop: realize, run under faults,
 //!   diagnose dead electrodes (rerouted around next run), salvage,
-//!   re-plan the shortfall, until the demand is met.
+//!   re-plan the shortfall, until the demand is met; a [`Campaign`]
+//!   carries its planning, fault, recovery and pin-backend settings.
 //!
 //! # Examples
 //!
 //! ```
-//! use dmf_engine::{EngineConfig, RecoveryPolicy};
-//! use dmf_fault::{run_resilient, FaultConfig};
+//! use dmf_engine::{PlanCache, RecoveryPolicy};
+//! use dmf_fault::{run_campaign, Campaign, FaultConfig, WearTracker};
 //! use dmf_ratio::TargetRatio;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let target = TargetRatio::new(vec![2, 1, 1, 1, 1, 1, 9])?;
-//! let faults = FaultConfig::default().with_seed(42).with_fault_rate(0.05);
-//! let out = run_resilient(
-//!     &target,
-//!     20,
-//!     EngineConfig::default(),
-//!     &faults,
-//!     RecoveryPolicy::default().with_max_replans(32),
-//! )?;
+//! let campaign = Campaign {
+//!     faults: FaultConfig::default().with_seed(42).with_fault_rate(0.05),
+//!     policy: RecoveryPolicy::default().with_max_replans(32),
+//!     ..Campaign::default()
+//! };
+//! let out = run_campaign(&target, 20, &campaign, PlanCache::shared(), &mut WearTracker::new())?;
 //! assert!(out.demand_met());
 //! # Ok(())
 //! # }
@@ -55,7 +54,5 @@ mod wear;
 
 pub use config::FaultConfig;
 pub use model::FaultModel;
-pub use runner::{
-    run_campaign, run_resilient, run_resilient_cached, Campaign, FaultError, ResilientOutcome,
-};
+pub use runner::{run_campaign, Campaign, FaultError, ResilientOutcome};
 pub use wear::WearTracker;

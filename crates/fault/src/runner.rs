@@ -85,8 +85,8 @@ impl From<PinError> for FaultError {
 /// planning configuration, fault model knobs, recovery policy, the pin
 /// backend the chip is wired with, and (optionally) a pre-built chip.
 ///
-/// [`Campaign::default`] reproduces [`run_resilient`]'s behavior exactly:
-/// default engine/fault/policy, direct addressing, auto-built chip.
+/// [`Campaign::default`] is the plain campaign: default engine, fault
+/// model and recovery policy, direct addressing, auto-built chip.
 #[derive(Debug, Clone, Default)]
 pub struct Campaign {
     /// Streaming-engine planning configuration.
@@ -187,61 +187,17 @@ impl fmt::Display for ResilientOutcome {
 /// targets went unmet — ask [`StreamingEngine::plan_recovery`] for a
 /// partial re-synthesis that is appended to the pass queue.
 ///
-/// Counts `recovery.extra_cycles` (and, through the simulator and the
-/// planner, `fault.injected` / `fault.detected` / `recovery.replans`)
-/// when the global recorder is enabled.
-///
-/// A `fault_config.fault_rate` of 0 makes every run byte-identical to
-/// the fault-free baseline: same chip, same programs, same traces.
-///
-/// # Errors
-///
-/// Propagates planning/realization/chip errors and returns
-/// [`FaultError::RecoveryExhausted`] when the replan budget (and the
-/// restart fallback, if enabled) runs out with the demand unmet.
-pub fn run_resilient(
-    target: &TargetRatio,
-    demand: u64,
-    engine_config: EngineConfig,
-    fault_config: &FaultConfig,
-    policy: RecoveryPolicy,
-) -> Result<ResilientOutcome, FaultError> {
-    run_resilient_cached(target, demand, engine_config, fault_config, policy, PlanCache::shared())
-}
-
-/// [`run_resilient`] with a caller-supplied plan cache.
-///
-/// The baseline plan and every [`StreamingEngine::plan_recovery`] replan
-/// go through `cache`, so a Monte-Carlo sweep that hands the same `Arc`
-/// to every trial plans each distinct `(config, target, demand)` once:
-/// trial 2's baseline and any replan for an already-seen residual demand
-/// are cache hits.
-///
-/// # Errors
-///
-/// As [`run_resilient`].
-pub fn run_resilient_cached(
-    target: &TargetRatio,
-    demand: u64,
-    engine_config: EngineConfig,
-    fault_config: &FaultConfig,
-    policy: RecoveryPolicy,
-    cache: Arc<PlanCache>,
-) -> Result<ResilientOutcome, FaultError> {
-    let campaign =
-        Campaign { engine: engine_config, faults: *fault_config, policy, ..Campaign::default() };
-    run_campaign(target, demand, &campaign, cache, &mut WearTracker::new())
-}
-
-/// The full campaign runner: [`run_resilient_cached`] generalised with a
-/// [`Campaign`] (pin backend, optional pre-built chip) and a
-/// caller-threaded [`WearTracker`].
+/// The baseline plan and every replan go through `cache`, so a
+/// Monte-Carlo sweep that hands the same `Arc` to every trial plans each
+/// distinct `(config, target, demand)` once: trial 2's baseline and any
+/// replan for an already-seen residual demand are cache hits.
 ///
 /// `wear` is read by the fault model's degradation term and updated with
 /// every run's actuations — *including ghost actuations under a shared-pin
 /// backend* — so a sweep that threads one tracker through consecutive
 /// trials ages the chip realistically across the whole sweep instead of
-/// starting each trial on pristine electrodes.
+/// starting each trial on pristine electrodes (pass a fresh
+/// [`WearTracker::new`] per trial for independent trials).
 ///
 /// Under a pin-constrained backend a diagnosed stuck electrode retires
 /// its entire pin group: a pin wired to a dead electrode can never be
@@ -249,10 +205,19 @@ pub fn run_resilient_cached(
 /// around. Under direct addressing groups are singletons and this
 /// reduces to the classic per-cell diagnosis.
 ///
+/// Counts `recovery.extra_cycles` (and, through the simulator and the
+/// planner, `fault.injected` / `fault.detected` / `recovery.replans`)
+/// when the global recorder is enabled.
+///
+/// A `campaign.faults.fault_rate` of 0 makes every run byte-identical to
+/// the fault-free baseline: same chip, same programs, same traces.
+///
 /// # Errors
 ///
-/// As [`run_resilient`], plus [`FaultError::Pins`] when the backend
-/// cannot assign the chip.
+/// Propagates planning/realization/chip errors, returns
+/// [`FaultError::Pins`] when the backend cannot assign the chip, and
+/// [`FaultError::RecoveryExhausted`] when the replan budget (and the
+/// restart fallback, if enabled) runs out with the demand unmet.
 pub fn run_campaign(
     target: &TargetRatio,
     demand: u64,
@@ -260,7 +225,7 @@ pub fn run_campaign(
     cache: Arc<PlanCache>,
     wear: &mut WearTracker,
 ) -> Result<ResilientOutcome, FaultError> {
-    let _span = dmf_obs::span!("run_resilient");
+    let _span = dmf_obs::span!("run_campaign");
     let engine_config = campaign.engine;
     let fault_config = &campaign.faults;
     let policy = campaign.policy;
@@ -400,16 +365,14 @@ mod tests {
         TargetRatio::new(vec![2, 1, 1, 1, 1, 1, 9]).unwrap()
     }
 
+    /// A fresh-cache, fresh-wear campaign over the PCR mix at D = 20.
+    fn run_pcr(campaign: &Campaign) -> Result<ResilientOutcome, FaultError> {
+        run_campaign(&pcr_d4(), 20, campaign, PlanCache::shared(), &mut WearTracker::new())
+    }
+
     #[test]
     fn zero_rate_campaign_matches_baseline() {
-        let out = run_resilient(
-            &pcr_d4(),
-            20,
-            EngineConfig::default(),
-            &FaultConfig::default(),
-            RecoveryPolicy::default(),
-        )
-        .unwrap();
+        let out = run_pcr(&Campaign::default()).unwrap();
         assert!(out.demand_met());
         assert_eq!(out.emitted, 20);
         assert_eq!(out.salvaged, 0);
@@ -422,18 +385,23 @@ mod tests {
     }
 
     #[test]
-    fn default_campaign_matches_run_resilient() {
-        let cfg = FaultConfig::default().with_seed(42).with_fault_rate(0.05);
-        let policy = RecoveryPolicy::default().with_max_replans(32);
-        let baseline = run_resilient(&pcr_d4(), 20, EngineConfig::default(), &cfg, policy).unwrap();
-        let campaign = Campaign { faults: cfg, policy, ..Campaign::default() };
+    fn a_shared_cache_and_tracker_leave_the_outcome_unchanged() {
+        let campaign = Campaign {
+            faults: FaultConfig::default().with_seed(42).with_fault_rate(0.05),
+            policy: RecoveryPolicy::default().with_max_replans(32),
+            ..Campaign::default()
+        };
+        let fresh = run_pcr(&campaign).unwrap();
+        let cache = PlanCache::shared();
+        run_campaign(&pcr_d4(), 20, &campaign, Arc::clone(&cache), &mut WearTracker::new())
+            .unwrap();
         let mut wear = WearTracker::new();
-        let out = run_campaign(&pcr_d4(), 20, &campaign, PlanCache::shared(), &mut wear).unwrap();
-        assert_eq!(out.emitted, baseline.emitted);
-        assert_eq!(out.injected, baseline.injected);
-        assert_eq!(out.runs, baseline.runs);
-        assert_eq!(out.total_cycles, baseline.total_cycles);
-        assert_eq!(out.dead_cells, baseline.dead_cells);
+        let out = run_campaign(&pcr_d4(), 20, &campaign, cache, &mut wear).unwrap();
+        assert_eq!(out.emitted, fresh.emitted);
+        assert_eq!(out.injected, fresh.injected);
+        assert_eq!(out.runs, fresh.runs);
+        assert_eq!(out.total_cycles, fresh.total_cycles);
+        assert_eq!(out.dead_cells, fresh.dead_cells);
         assert!(wear.total() > 0, "the caller's tracker absorbs the campaign's wear");
     }
 
@@ -480,15 +448,12 @@ mod tests {
 
     #[test]
     fn seeded_faulty_campaign_still_meets_demand() {
-        let cfg = FaultConfig::default().with_seed(42).with_fault_rate(0.05);
-        let out = run_resilient(
-            &pcr_d4(),
-            20,
-            EngineConfig::default(),
-            &cfg,
-            RecoveryPolicy::default().with_max_replans(32),
-        )
-        .unwrap();
+        let campaign = Campaign {
+            faults: FaultConfig::default().with_seed(42).with_fault_rate(0.05),
+            policy: RecoveryPolicy::default().with_max_replans(32),
+            ..Campaign::default()
+        };
+        let out = run_pcr(&campaign).unwrap();
         assert!(out.demand_met(), "recovery must meet the demand: {out}");
         assert!(out.injected >= out.detected);
     }

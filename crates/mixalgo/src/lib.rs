@@ -59,7 +59,6 @@ mod minmix;
 mod mtcs;
 mod pool;
 mod rebuild;
-mod registry;
 mod rma;
 mod rsm;
 mod template;
@@ -71,16 +70,13 @@ pub use minmix::MinMix;
 pub use mtcs::Mtcs;
 pub use pool::WastePool;
 pub use rebuild::{materialize, rebuild_tree};
-pub use registry::{
-    AlgorithmEntry, AlgorithmId, DuplicateAlgorithmError, MixingAlgorithmRegistry,
-    UnknownAlgorithmError,
-};
 pub use rma::Rma;
 pub use rsm::Rsm;
 pub use template::Template;
 
 use dmf_mixgraph::MixGraph;
 use dmf_ratio::TargetRatio;
+use dmf_registry::{Entry, Id, Registry};
 
 /// A base mixing-tree construction algorithm.
 ///
@@ -122,42 +118,84 @@ pub trait MixingAlgorithm {
     }
 }
 
-/// Enumeration of the provided base algorithms, for configuration surfaces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BaseAlgorithm {
-    /// [`MinMix`].
-    MinMix,
-    /// [`Rma`].
-    Rma,
-    /// [`Mtcs`].
-    Mtcs,
-    /// [`Rsm`].
-    Rsm,
-}
+/// A registered mixing algorithm (see [`ALGORITHMS`]).
+pub type AlgorithmId = Id<dyn MixingAlgorithm + Send + Sync>;
 
-impl BaseAlgorithm {
-    /// All provided algorithms, in the paper's citation order.
-    pub const ALL: [BaseAlgorithm; 4] =
-        [BaseAlgorithm::MinMix, BaseAlgorithm::Rma, BaseAlgorithm::Mtcs, BaseAlgorithm::Rsm];
+/// One row of [`ALGORITHMS`].
+pub type AlgorithmEntry = Entry<dyn MixingAlgorithm + Send + Sync>;
 
-    /// The algorithm object behind the enum tag.
-    pub fn algorithm(self) -> &'static dyn MixingAlgorithm {
-        match self {
-            BaseAlgorithm::MinMix => &MinMix,
-            BaseAlgorithm::Rma => &Rma,
-            BaseAlgorithm::Mtcs => &Mtcs,
-            BaseAlgorithm::Rsm => &Rsm,
+/// MinMix (`"mm"`).
+pub const MINMIX: AlgorithmId = Id::new("mm", "MM", &MinMix);
+/// RMA (`"rma"`).
+pub const RMA: AlgorithmId = Id::new("rma", "RMA", &Rma);
+/// MTCS (`"mtcs"`).
+pub const MTCS: AlgorithmId = Id::new("mtcs", "MTCS", &Mtcs);
+/// RSM (`"rsm"`).
+pub const RSM: AlgorithmId = Id::new("rsm", "RSM", &Rsm);
+
+/// The process-wide mixing-algorithm registry, seeded with the paper's
+/// four baselines in citation order. New planners join with
+/// [`Registry::register`] and reach every consumer that resolves by name
+/// (CLI, serve protocol, batch planner, exhibits) without touching the
+/// engine.
+pub static ALGORITHMS: Registry<dyn MixingAlgorithm + Send + Sync> = Registry::new(
+    "mixing algorithm",
+    &[
+        Entry {
+            id: MINMIX,
+            description: "MinMix (Thies et al. 2008): binary-expansion tree, \
+                          minimal depth and mix count",
+            aliases: &["minmix"],
+        },
+        Entry {
+            id: RMA,
+            description: "RMA (Roy et al. VLSID 2011): ratio-halving tree; extra \
+                          waste droplets seed the mixing forest",
+            aliases: &[],
+        },
+        Entry {
+            id: MTCS,
+            description: "MTCS (Kumar et al. DDECS 2013): MinMix with \
+                          common-subtree sharing",
+            aliases: &[],
+        },
+        Entry {
+            id: RSM,
+            description: "RSM (Hsieh et al. TCAD 2012): reagent-saving balanced \
+                          partition with subgraph sharing",
+            aliases: &[],
+        },
+    ],
+);
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn baselines_resolve_by_key_label_and_alias() {
+        for (name, expected) in [
+            ("mm", MINMIX),
+            ("MM", MINMIX),
+            ("minmix", MINMIX),
+            ("rma", RMA),
+            ("MTCS", MTCS),
+            ("rsm", RSM),
+        ] {
+            assert_eq!(ALGORITHMS.resolve(name).unwrap(), expected, "{name}");
         }
     }
 
-    /// Short identifier ("MM", "RMA", "MTCS", "RSM").
-    pub fn name(self) -> &'static str {
-        self.algorithm().name()
-    }
-}
-
-impl std::fmt::Display for BaseAlgorithm {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
+    #[test]
+    fn seeds_are_the_four_paper_baselines_in_order() {
+        let keys: Vec<&str> = ALGORITHMS.seeded().iter().map(|e| e.id.key()).collect();
+        assert_eq!(keys, ["mm", "rma", "mtcs", "rsm"]);
+        for entry in ALGORITHMS.seeded() {
+            assert_eq!(entry.id.label(), entry.id.name());
+            assert!(!entry.description.is_empty());
+        }
+        let err = ALGORITHMS.resolve("nope").unwrap_err();
+        assert!(err.to_string().starts_with("unknown mixing algorithm \"nope\""));
     }
 }

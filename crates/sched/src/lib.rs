@@ -66,7 +66,6 @@ mod hu;
 mod mms;
 mod optimal;
 mod path;
-mod registry;
 mod schedule;
 mod srs;
 mod storage;
@@ -79,55 +78,115 @@ pub use hu::{critical_path, mixer_lower_bound, oms_schedule};
 pub use mms::mms_schedule;
 pub use optimal::{optimal_makespan, OPTIMAL_LIMIT};
 pub use path::path_schedule;
-pub use registry::{
-    DuplicateSchedulerError, MmsScheduler, Scheduler, SchedulerEntry, SchedulerId,
-    SchedulerRegistry, SrsScheduler, UnknownSchedulerError,
-};
 pub use schedule::{MixerId, Schedule};
 pub use srs::srs_schedule;
 pub use storage::StorageProfile;
 
-/// Which forest scheduler to run — configuration surface for the engine and
-/// the benchmark harness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SchedulerKind {
-    /// [`mms_schedule`] (Algorithm 1) — latency-oriented.
-    Mms,
-    /// [`srs_schedule`] (Algorithm 2) — storage-oriented.
-    Srs,
-}
+use dmf_mixgraph::MixGraph;
+use dmf_registry::{Entry, Id, Registry};
 
-impl SchedulerKind {
-    /// Both schedulers, in the paper's order.
-    pub const ALL: [SchedulerKind; 2] = [SchedulerKind::Mms, SchedulerKind::Srs];
+/// A forest scheduler as a trait object: maps a mixing forest onto a mixer
+/// budget.
+///
+/// [`MmsScheduler`] and [`SrsScheduler`] wrap the paper's two procedures;
+/// new schedulers implement this trait and join [`SCHEDULERS`].
+pub trait Scheduler {
+    /// Short identifier used in reports ("MMS", "SRS", …).
+    fn name(&self) -> &'static str;
 
-    /// Short identifier ("MMS" / "SRS").
-    pub fn name(self) -> &'static str {
-        match self {
-            SchedulerKind::Mms => "MMS",
-            SchedulerKind::Srs => "SRS",
-        }
-    }
-
-    /// Runs the selected scheduler.
+    /// Schedules `graph` onto `mixers` concurrent mixers.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`mms_schedule`] / [`srs_schedule`].
-    pub fn run(
-        self,
-        graph: &dmf_mixgraph::MixGraph,
-        mixers: usize,
-    ) -> Result<Schedule, SchedError> {
-        match self {
-            SchedulerKind::Mms => mms_schedule(graph, mixers),
-            SchedulerKind::Srs => srs_schedule(graph, mixers),
-        }
+    /// Implementation-specific; the provided schedulers fail on graphs
+    /// with cyclic precedence or a zero mixer budget.
+    fn schedule(&self, graph: &MixGraph, mixers: usize) -> Result<Schedule, SchedError>;
+}
+
+/// [`mms_schedule`] (Algorithm 1) as a [`Scheduler`] object.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MmsScheduler;
+
+impl Scheduler for MmsScheduler {
+    fn name(&self) -> &'static str {
+        "MMS"
+    }
+
+    fn schedule(&self, graph: &MixGraph, mixers: usize) -> Result<Schedule, SchedError> {
+        mms_schedule(graph, mixers)
     }
 }
 
-impl std::fmt::Display for SchedulerKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
+/// [`srs_schedule`] (Algorithm 2) as a [`Scheduler`] object.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SrsScheduler;
+
+impl Scheduler for SrsScheduler {
+    fn name(&self) -> &'static str {
+        "SRS"
+    }
+
+    fn schedule(&self, graph: &MixGraph, mixers: usize) -> Result<Schedule, SchedError> {
+        srs_schedule(graph, mixers)
+    }
+}
+
+/// A registered scheduler (see [`SCHEDULERS`]).
+pub type SchedulerId = Id<dyn Scheduler + Send + Sync>;
+
+/// One row of [`SCHEDULERS`].
+pub type SchedulerEntry = Entry<dyn Scheduler + Send + Sync>;
+
+/// MMS (`"mms"`) — latency-oriented.
+pub const MMS: SchedulerId = Id::new("mms", "MMS", &MmsScheduler);
+/// SRS (`"srs"`) — storage-oriented.
+pub const SRS: SchedulerId = Id::new("srs", "SRS", &SrsScheduler);
+
+/// The process-wide scheduler registry, seeded with MMS and SRS in the
+/// paper's order.
+pub static SCHEDULERS: Registry<dyn Scheduler + Send + Sync> = Registry::new(
+    "scheduler",
+    &[
+        Entry {
+            id: MMS,
+            description: "M_Mixers_Schedule (Algorithm 1): level-synchronous FIFO \
+                          forest scheduling, latency-oriented",
+            aliases: &[],
+        },
+        Entry {
+            id: SRS,
+            description: "Storage_Reduced_Scheduling (Algorithm 2): defers \
+                          reservoir-fed mixes to cut on-chip storage",
+            aliases: &[],
+        },
+    ],
+);
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used)]
+mod tests {
+    use super::*;
+    use dmf_mixalgo::{MinMix, MixingAlgorithm};
+    use dmf_ratio::TargetRatio;
+
+    #[test]
+    fn both_paper_schedulers_resolve_in_order() {
+        assert_eq!(SCHEDULERS.resolve("mms").unwrap(), MMS);
+        assert_eq!(SCHEDULERS.resolve("SRS").unwrap(), SRS);
+        for entry in SCHEDULERS.seeded() {
+            assert_eq!(entry.id.label(), entry.id.name());
+        }
+        let err = SCHEDULERS.resolve("hlf").unwrap_err();
+        assert_eq!(err.to_string(), "unknown scheduler \"hlf\" (registered: mms, srs)");
+    }
+
+    #[test]
+    fn id_dispatch_equals_direct_function_calls() {
+        let target = TargetRatio::new(vec![2, 1, 1, 1, 1, 1, 9]).unwrap();
+        let graph = MinMix.build_graph(&target).unwrap();
+        let direct = srs_schedule(&graph, 3).unwrap();
+        let via_id = SRS.schedule(&graph, 3).unwrap();
+        assert_eq!(direct.makespan(), via_id.makespan());
+        assert_eq!(direct.storage(&graph).peak, via_id.storage(&graph).peak);
     }
 }

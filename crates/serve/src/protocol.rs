@@ -108,8 +108,8 @@ impl ProtocolError {
         ProtocolError { code: "infeasible", message: message.into() }
     }
 
-    /// A well-formed request naming a mixing algorithm the
-    /// [`dmf_mixalgo::MixingAlgorithmRegistry`] does not know. Its own
+    /// A well-formed request naming a mixing algorithm
+    /// [`dmf_mixalgo::ALGORITHMS`] does not know. Its own
     /// code (rather than `bad_request`) so clients can tell a typo'd
     /// algorithm from a malformed line — the message lists the
     /// registered keys.
@@ -199,12 +199,14 @@ pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
                 None => member_str(&value, "algo")?,
             };
             if let Some(name) = algo_name {
-                let id = dmf_mixalgo::MixingAlgorithmRegistry::resolve(name)
+                let id = dmf_mixalgo::ALGORITHMS
+                    .resolve(name)
                     .map_err(|e| ProtocolError::unknown_algo(e.to_string()))?;
                 config = config.with_algorithm(id);
             }
             if let Some(name) = member_str(&value, "scheduler")? {
-                let id = dmf_sched::SchedulerRegistry::resolve(name)
+                let id = dmf_sched::SCHEDULERS
+                    .resolve(name)
                     .map_err(|e| ProtocolError::new(e.to_string()))?;
                 config = config.with_scheduler(id);
             }
@@ -311,8 +313,8 @@ pub fn stalled_response(ms: u64) -> String {
 mod tests {
     use super::*;
     use dmf_engine::MixerBudget;
-    use dmf_mixalgo::BaseAlgorithm;
-    use dmf_sched::SchedulerKind;
+    use dmf_mixalgo::RMA;
+    use dmf_sched::MMS;
 
     #[test]
     fn parses_a_minimal_plan_request() {
@@ -341,8 +343,8 @@ mod tests {
         .unwrap();
         let Request::Plan(spec) = r else { panic!("expected a plan request") };
         assert_eq!(spec.demand, 8);
-        assert_eq!(spec.config.algorithm, BaseAlgorithm::Rma);
-        assert_eq!(spec.config.scheduler, SchedulerKind::Mms);
+        assert_eq!(spec.config.algorithm, RMA);
+        assert_eq!(spec.config.scheduler, MMS);
         assert_eq!(spec.config.mixers, MixerBudget::Fixed(3));
         assert_eq!(spec.config.storage_limit, Some(4));
         assert_eq!(spec.deadline_ms, Some(250));
@@ -395,7 +397,7 @@ mod tests {
         assert_eq!(err.code(), "unknown_algo");
         let r = parse_request(r#"{"op":"plan","ratio":"1:1","algo":"rma"}"#).unwrap();
         let Request::Plan(spec) = r else { panic!("expected a plan request") };
-        assert_eq!(spec.config.algorithm, BaseAlgorithm::Rma);
+        assert_eq!(spec.config.algorithm, RMA);
         // Unknown schedulers stay bad_request: the scheduler set is closed
         // at the protocol level until a streaming scheduler registers.
         let err = parse_request(r#"{"op":"plan","ratio":"1:1","scheduler":"fifo"}"#).unwrap_err();

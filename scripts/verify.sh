@@ -63,7 +63,7 @@ cargo run --release -q --bin dmfstream -- check --all-protocols --jobs 1 > /tmp/
 cargo run --release -q --bin dmfstream -- check --all-protocols --jobs 4 > /tmp/dmf_check_j4.txt
 diff /tmp/dmf_check_j1.txt /tmp/dmf_check_j4.txt
 
-echo "==> registry gate (--list-algorithms names the four paper baselines; unknown --algo exits 2 typed)"
+echo "==> registry gate (--list-algorithms names the four paper baselines; unknown --algo and --scheduler exit 2 typed)"
 algo_list=$(target/release/dmfstream plan --list-algorithms)
 for key in mm rma mtcs rsm; do
   printf '%s\n' "$algo_list" | grep -Eq "^  $key " || {
@@ -89,6 +89,20 @@ printf '%s' "$unknown_out" | grep -q 'unknown mixing algorithm "nonesuch" (regis
 }
 printf '%s' "$unknown_out" | grep -q 'list-algorithms' || {
   echo "registry gate: unknown --algo error did not suggest --list-algorithms: $unknown_out"
+  exit 1
+}
+# The scheduler registry is the second instance of the same generic type:
+# its unknown-name error must carry its own kind and keys.
+set +e
+unknown_sched_out=$(target/release/dmfstream plan 2:1:1:1:1:1:9 --demand 4 --scheduler nonesuch 2>&1)
+unknown_sched_code=$?
+set -e
+[ "$unknown_sched_code" -eq 2 ] || {
+  echo "registry gate: unknown --scheduler exited $unknown_sched_code, expected 2"
+  exit 1
+}
+printf '%s' "$unknown_sched_out" | grep -q 'unknown scheduler "nonesuch" (registered: mms, srs)' || {
+  echo "registry gate: unknown --scheduler error was not typed: $unknown_sched_out"
   exit 1
 }
 

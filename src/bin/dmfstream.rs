@@ -51,11 +51,12 @@ use dmfstream::engine::{
     PlanRequest, RecoveryPolicy, StreamingEngine, DEFAULT_PLAN_CACHE_CAPACITY,
 };
 use dmfstream::fault::{run_campaign, Campaign, FaultConfig, WearTracker};
-use dmfstream::mixalgo::MixingAlgorithmRegistry;
+use dmfstream::mixalgo::ALGORITHMS;
 use dmfstream::obs;
 use dmfstream::pins::BackendKind;
 use dmfstream::ratio::TargetRatio;
-use dmfstream::sched::SchedulerRegistry;
+use dmfstream::registry::Registry;
+use dmfstream::sched::SCHEDULERS;
 use dmfstream::serve::{Client, ServeConfig, Server};
 use dmfstream::sim::Simulator;
 use std::num::NonZeroUsize;
@@ -94,90 +95,60 @@ struct Args {
     list_schedulers: bool,
 }
 
-/// The flags each verb accepts. Unknown-flag errors quote the relevant
-/// list, so a typo under `check` suggests `check`'s flags, not `fault`'s.
-fn valid_flags(command: &str) -> Option<&'static [&'static str]> {
+/// The planning flags every planning verb shares.
+const PLAN_FLAGS: &[&str] =
+    &["--demand", "--mixers", "--storage", "--algorithm", "--algo", "--scheduler"];
+
+/// The flags each verb accepts, as groups in the order unknown-flag errors
+/// quote them — so a typo under `check` suggests `check`'s flags, not
+/// `fault`'s.
+fn valid_flags(command: &str) -> Option<&'static [&'static [&'static str]]> {
     match command {
         "plan" => Some(&[
-            "--demand",
-            "--mixers",
-            "--storage",
-            "--algorithm",
-            "--algo",
-            "--scheduler",
-            "--metrics",
-            "--all-protocols",
-            "--jobs",
-            "--no-cache",
-            "--cache-shards",
-            "--backend",
-            "--list-algorithms",
-            "--list-schedulers",
+            PLAN_FLAGS,
+            &[
+                "--metrics",
+                "--all-protocols",
+                "--jobs",
+                "--no-cache",
+                "--cache-shards",
+                "--backend",
+                "--list-algorithms",
+                "--list-schedulers",
+            ],
         ]),
-        "gantt" => Some(&[
-            "--demand",
-            "--mixers",
-            "--storage",
-            "--algorithm",
-            "--algo",
-            "--scheduler",
-            "--metrics",
-        ]),
-        "simulate" => Some(&[
-            "--demand",
-            "--mixers",
-            "--storage",
-            "--algorithm",
-            "--algo",
-            "--scheduler",
-            "--metrics",
-            "--trace",
-        ]),
+        "gantt" => Some(&[PLAN_FLAGS, &["--metrics"]]),
+        "simulate" => Some(&[PLAN_FLAGS, &["--metrics", "--trace"]]),
         "fault" => Some(&[
-            "--demand",
-            "--mixers",
-            "--storage",
-            "--algorithm",
-            "--algo",
-            "--scheduler",
-            "--metrics",
-            "--trace",
-            "--seed",
-            "--fault-rate",
-            "--sensor-period",
-            "--max-replans",
-            "--backend",
+            PLAN_FLAGS,
+            &[
+                "--metrics",
+                "--trace",
+                "--seed",
+                "--fault-rate",
+                "--sensor-period",
+                "--max-replans",
+                "--backend",
+            ],
         ]),
         "check" => Some(&[
-            "--demand",
-            "--mixers",
-            "--storage",
-            "--algorithm",
-            "--algo",
-            "--scheduler",
-            "--metrics",
-            "--all-protocols",
-            "--jobs",
-            "--no-cache",
-            "--cache-shards",
-            "--report",
-            "--backend",
-            "--deep",
-            "--deny",
-            "--explain",
-            "--json",
+            PLAN_FLAGS,
+            &[
+                "--metrics",
+                "--all-protocols",
+                "--jobs",
+                "--no-cache",
+                "--cache-shards",
+                "--report",
+                "--backend",
+                "--deep",
+                "--deny",
+                "--explain",
+                "--json",
+            ],
         ]),
-        "profile" => Some(&[
-            "--demand",
-            "--mixers",
-            "--storage",
-            "--algorithm",
-            "--algo",
-            "--scheduler",
-            "--folded",
-            "--chrome",
-        ]),
-        "serve" => Some(&[
+        "profile" => Some(&[PLAN_FLAGS, &["--folded", "--chrome"]]),
+        "serve" => Some(&[&[
             "--addr",
             "--port",
             "--workers",
@@ -186,19 +157,8 @@ fn valid_flags(command: &str) -> Option<&'static [&'static str]> {
             "--cache-shards",
             "--deadline-ms",
             "--slow-ms",
-        ]),
-        "request" => Some(&[
-            "--connect",
-            "--op",
-            "--demand",
-            "--mixers",
-            "--storage",
-            "--algorithm",
-            "--algo",
-            "--scheduler",
-            "--deadline-ms",
-            "--trace",
-        ]),
+        ]]),
+        "request" => Some(&[&["--connect", "--op"], PLAN_FLAGS, &["--deadline-ms", "--trace"]]),
         _ => None,
     }
 }
@@ -285,10 +245,10 @@ fn parse_args() -> Result<Args, String> {
     let mut list_algorithms = false;
     let mut list_schedulers = false;
     while let Some(flag) = argv.next() {
-        if !allowed.contains(&flag.as_str()) {
+        if !allowed.iter().any(|group| group.contains(&flag.as_str())) {
             return Err(format!(
                 "unknown flag {flag:?} for {command:?}; valid flags: {}",
-                allowed.join(", ")
+                allowed.concat().join(", ")
             ));
         }
         let mut value = || argv.next().ok_or(format!("{flag} needs a value"));
@@ -381,14 +341,14 @@ fn parse_args() -> Result<Args, String> {
             }
             "--algorithm" | "--algo" => {
                 let name = value()?;
-                let id = MixingAlgorithmRegistry::resolve(&name).map_err(|e| {
+                let id = ALGORITHMS.resolve(&name).map_err(|e| {
                     format!("{e}; run `dmfstream plan --list-algorithms` for descriptions")
                 })?;
                 config = config.with_algorithm(id);
             }
             "--scheduler" => {
                 let name = value()?;
-                let id = SchedulerRegistry::resolve(&name).map_err(|e| {
+                let id = SCHEDULERS.resolve(&name).map_err(|e| {
                     format!("{e}; run `dmfstream plan --list-schedulers` for descriptions")
                 })?;
                 config = config.with_scheduler(id);
@@ -436,27 +396,28 @@ fn parse_args() -> Result<Args, String> {
 /// `dmfstream plan --list-algorithms` / `--list-schedulers`.
 fn print_registries(algorithms: bool, schedulers: bool) {
     if algorithms {
-        println!("mixing algorithms:");
-        for entry in MixingAlgorithmRegistry::entries() {
-            let aliases = if entry.aliases.is_empty() {
-                String::new()
-            } else {
-                format!(" (aliases: {})", entry.aliases.join(", "))
-            };
-            println!(
-                "  {:<8} {:<6} {}{}",
-                entry.id.key(),
-                entry.id.label(),
-                entry.description,
-                aliases
-            );
-        }
+        print_registry(&ALGORITHMS);
     }
     if schedulers {
-        println!("schedulers:");
-        for entry in SchedulerRegistry::entries() {
-            println!("  {:<8} {:<6} {}", entry.id.key(), entry.id.label(), entry.description);
-        }
+        print_registry(&SCHEDULERS);
+    }
+}
+
+fn print_registry<T: ?Sized>(registry: &Registry<T>) {
+    println!("{}s:", registry.kind());
+    for entry in registry.entries() {
+        let aliases = if entry.aliases.is_empty() {
+            String::new()
+        } else {
+            format!(" (aliases: {})", entry.aliases.join(", "))
+        };
+        println!(
+            "  {:<8} {:<6} {}{}",
+            entry.id.key(),
+            entry.id.label(),
+            entry.description,
+            aliases
+        );
     }
 }
 

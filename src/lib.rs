@@ -58,6 +58,11 @@ pub mod obs {
     pub use dmf_obs::*;
 }
 
+/// Name-keyed registries of algorithms and schedulers ([`dmf_registry`]).
+pub mod registry {
+    pub use dmf_registry::*;
+}
+
 /// Exact concentration-factor arithmetic ([`dmf_ratio`]).
 pub mod ratio {
     pub use dmf_ratio::*;

@@ -15,14 +15,26 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 use dmfstream::chip::presets::streaming_chip;
 use dmfstream::chip::{ChipSpec, Coord};
-use dmfstream::engine::{realize_pass, EngineConfig, RecoveryPolicy, StreamingEngine};
+use dmfstream::engine::{realize_pass, EngineConfig, PlanCache, RecoveryPolicy, StreamingEngine};
 use dmfstream::fault::lineage::{droplet_mixtures, emitted_droplets};
-use dmfstream::fault::{run_resilient, FaultConfig};
+use dmfstream::fault::{
+    run_campaign, Campaign, FaultConfig, FaultError, ResilientOutcome, WearTracker,
+};
 use dmfstream::ratio::{Mixture, TargetRatio};
 use dmfstream::sim::{InjectedFaults, Simulator, Trace};
 
 fn pcr_d4() -> TargetRatio {
     TargetRatio::new(vec![2, 1, 1, 1, 1, 1, 9]).expect("paper ratio")
+}
+
+/// A default-configured D = 20 campaign on a fresh cache and pristine chip.
+fn campaign(
+    target: &TargetRatio,
+    faults: FaultConfig,
+    policy: RecoveryPolicy,
+) -> Result<ResilientOutcome, FaultError> {
+    let campaign = Campaign { faults, policy, ..Campaign::default() };
+    run_campaign(target, 20, &campaign, PlanCache::shared(), &mut WearTracker::new())
 }
 
 /// Every droplet emitted in `trace` must hold exactly `expected`.
@@ -103,14 +115,8 @@ fn zero_fault_run_is_byte_identical_to_baseline() {
 
 #[test]
 fn zero_rate_campaign_reproduces_the_paper_oracles() {
-    let out = run_resilient(
-        &pcr_d4(),
-        20,
-        EngineConfig::default(),
-        &FaultConfig::default().with_seed(42),
-        RecoveryPolicy::default(),
-    )
-    .unwrap();
+    let out = campaign(&pcr_d4(), FaultConfig::default().with_seed(42), RecoveryPolicy::default())
+        .unwrap();
     assert_eq!(out.runs, 1);
     assert_eq!(out.replans, 0);
     assert_eq!((out.emitted, out.injected, out.detected), (20, 0, 0));
@@ -183,14 +189,7 @@ fn seeded_random_campaigns_meet_demand_with_correct_cf() {
     let chip = streaming_chip(7, plan.mixers, plan.storage_peak.max(1)).unwrap();
     for seed in 1..=6u64 {
         let cfg = FaultConfig::default().with_seed(seed).with_fault_rate(0.05);
-        let out = run_resilient(
-            &target,
-            20,
-            EngineConfig::default(),
-            &cfg,
-            RecoveryPolicy::default().with_max_replans(64),
-        )
-        .unwrap();
+        let out = campaign(&target, cfg, RecoveryPolicy::default().with_max_replans(64)).unwrap();
         assert!(out.demand_met(), "seed {seed}: {out}");
         assert!(out.detected <= out.injected, "seed {seed}");
         for trace in &out.traces {
@@ -207,13 +206,7 @@ fn campaigns_reroute_around_diagnosed_electrodes() {
     let mut diagnosed_any = false;
     for seed in 1..=20u64 {
         let cfg = FaultConfig::default().with_seed(seed).with_fault_rate(0.08);
-        let Ok(out) = run_resilient(
-            &target,
-            20,
-            EngineConfig::default(),
-            &cfg,
-            RecoveryPolicy::default().with_max_replans(64),
-        ) else {
+        let Ok(out) = campaign(&target, cfg, RecoveryPolicy::default().with_max_replans(64)) else {
             continue;
         };
         if out.dead_cells.is_empty() {
