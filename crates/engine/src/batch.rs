@@ -127,10 +127,9 @@ fn plan_one(
 /// instead of becoming anonymous per-thread roots.
 ///
 /// Errors are per-request: one failing request yields an `Err` in its
-/// slot without disturbing its neighbors. Requests rejected by the
-/// mixability pre-pass ([`StreamingEngine::preflight`]) are answered
-/// inline before the pool spins up — an unsatisfiable CF request never
-/// occupies a worker.
+/// slot without disturbing its neighbors. A request the mixability
+/// pre-pass rejects is answered by its worker from that gate alone (see
+/// [`StreamingEngine::plan_shared`]), before any planning work.
 pub fn plan_batch(
     requests: &[PlanRequest],
     options: &BatchOptions,
@@ -148,46 +147,30 @@ pub fn plan_batch(
     let cursor = AtomicUsize::new(0);
     let mut slots: Vec<Option<Result<Arc<StreamPlan>, EngineError>>> = Vec::new();
     slots.resize_with(requests.len(), || None);
-    // Feasibility triage: requests the mixability pre-pass rejects are
-    // answered inline, so only satisfiable work reaches the pool and no
-    // worker is ever burned on an unplannable request.
-    let pending: Vec<usize> = requests
-        .iter()
-        .enumerate()
-        .filter_map(|(i, req)| match StreamingEngine::preflight(&req.target, req.demand) {
-            Ok(()) => Some(i),
-            Err(e) => {
-                slots[i] = Some(Err(e));
-                None
-            }
-        })
-        .collect();
-    // Workers claim *chunks* of the pending list, not single requests:
-    // one fetch_add per chunk amortizes the cursor's cache-line traffic
+    // Workers claim *chunks* of the requests, not single requests: one
+    // fetch_add per chunk amortizes the cursor's cache-line traffic
     // across up to 64 plans. Aim for ~4 chunks per worker so the tail
     // still load-balances across heterogeneous request costs.
-    let chunk = (pending.len() / (jobs * 4)).clamp(1, 64);
+    let chunk = (requests.len() / (jobs * 4)).clamp(1, 64);
     // Capture the batch span's position so each worker thread can adopt
     // it: per-request `engine_plan` spans then parent under `plan_batch`
     // instead of floating as anonymous roots.
     let ctx = dmf_obs::TraceContext::current();
     let ctx_ref = &ctx;
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..jobs.min(pending.len()))
+        let handles: Vec<_> = (0..jobs)
             .map(|_| {
                 scope.spawn(|| {
                     let _adopted = ctx_ref.enter();
                     let mut local = Vec::new();
                     loop {
                         let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= pending.len() {
+                        if start >= requests.len() {
                             break;
                         }
-                        let end = (start + chunk).min(pending.len());
-                        for &i in &pending[start..end] {
-                            if let Some(req) = requests.get(i) {
-                                local.push((i, plan_one(req, options.cache())));
-                            }
+                        let end = (start + chunk).min(requests.len());
+                        for (i, req) in (start..end).zip(&requests[start..end]) {
+                            local.push((i, plan_one(req, options.cache())));
                         }
                     }
                     local
@@ -213,32 +196,6 @@ pub fn plan_batch(
             })
         })
         .collect()
-}
-
-impl StreamingEngine {
-    /// Plans every `(target, demand)` pair under this engine's
-    /// configuration, in parallel, returning plans in input order (see
-    /// [`plan_batch`]).
-    ///
-    /// The engine's own cache is used when `options` does not carry one.
-    pub fn plan_batch(
-        &self,
-        demands: &[(TargetRatio, u64)],
-        options: &BatchOptions,
-    ) -> Vec<Result<Arc<StreamPlan>, EngineError>> {
-        let requests: Vec<PlanRequest> = demands
-            .iter()
-            .map(|(target, demand)| {
-                PlanRequest::new(target.clone(), *demand).with_config(*self.config())
-            })
-            .collect();
-        match (options.cache(), self.cache()) {
-            (None, Some(own)) => {
-                plan_batch(&requests, &options.clone().with_cache(Arc::clone(own)))
-            }
-            _ => plan_batch(&requests, options),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -278,7 +235,7 @@ mod tests {
     }
 
     #[test]
-    fn infeasible_requests_are_triaged_before_the_pool() {
+    fn infeasible_requests_stay_in_their_slot() {
         // A single pure fluid is unmixable: the pre-pass answers the slot
         // without planning, and neighbors are untouched.
         let pure = TargetRatio::new(vec![16]).unwrap();

@@ -54,8 +54,9 @@ pub enum EngineError {
         what: String,
     },
     /// An internal invariant was violated — a bug in the engine itself
-    /// (e.g. a pipeline stage ran out of order, or the pass compiler lost
-    /// track of a droplet), surfaced as a typed error instead of a panic.
+    /// (e.g. the pass compiler lost track of a droplet, or a batch worker
+    /// abandoned its request), surfaced as a typed error instead of a
+    /// panic.
     Internal {
         /// Human-readable description of the violated invariant.
         what: String,

@@ -11,6 +11,12 @@
 //! passes whose schedules each fit the budget — the multi-pass streaming
 //! technique of the paper's §6 (Table 4).
 //!
+//! Planning is four plain steps in a fixed order — base tree, then per
+//! pass a mixing forest and its schedule, inside the multi-pass split —
+//! behind one feasibility gate in [`StreamingEngine::plan_shared`]. A
+//! content-addressed [`PlanCache`] skips repeat requests, and
+//! [`plan_batch`] fans requests over a worker pool.
+//!
 //! [`realize_pass`] then lowers a pass onto a concrete
 //! [`dmf_chip::ChipSpec`]: reservoir dispenses, A*-routed droplet
 //! transports, storage cell allocation, mix-splits, waste disposal and
@@ -43,7 +49,6 @@ mod check;
 mod compare;
 mod config;
 mod error;
-pub mod pipeline;
 mod plan;
 mod realize;
 mod recovery;
@@ -57,9 +62,6 @@ pub use check::static_check;
 pub use compare::{improvement_over_baseline, repeated, Improvement};
 pub use config::{EngineConfig, MixerBudget};
 pub use error::EngineError;
-pub use pipeline::{
-    BuildForest, BuildTree, MetaStage, Pipeline, PlanContext, Schedule, SplitPasses, Stage,
-};
 pub use plan::{PassPlan, StreamPlan, StreamingEngine};
 pub use realize::realize_pass;
 pub use recovery::{RecoveryPlan, RecoveryPolicy};

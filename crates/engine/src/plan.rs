@@ -1,9 +1,17 @@
+//! The planner: [`StreamingEngine`] and the plans it emits.
+//!
+//! A request passes the feasibility gate and the cache in
+//! [`StreamingEngine::plan_shared`]; a miss runs four plain steps — build
+//! the base tree, split the demand into passes, and per pass build the
+//! mixing forest and schedule it — each under its own `stage_*` span and
+//! counter, then folds the passes into a [`StreamPlan`].
+
 use crate::cache::PlanKey;
-use crate::pipeline::PlanContext;
-use crate::{EngineConfig, EngineError, PlanCache};
+use crate::{EngineConfig, EngineError, MixerBudget, PlanCache};
+use dmf_mixalgo::{MinMix, MixingAlgorithm, Template};
 use dmf_mixgraph::MixGraph;
 use dmf_ratio::TargetRatio;
-use dmf_sched::{Schedule, StorageProfile};
+use dmf_sched::{mixer_lower_bound, Schedule, StorageProfile};
 use std::fmt;
 use std::sync::Arc;
 
@@ -91,8 +99,9 @@ impl fmt::Display for StreamPlan {
 
 /// The demand-driven mixture-preparation engine (see crate docs).
 ///
-/// `plan` is a thin facade over the staged pipeline in [`crate::pipeline`]
-/// (`BuildTree → BuildForest → Schedule → SplitPasses`); an optional
+/// Planning runs four fixed steps — base tree, then per pass a mixing
+/// forest and its schedule, inside the multi-pass split — each under its
+/// own `stage_*` span and run counter; an optional
 /// content-addressed [`PlanCache`] (see [`StreamingEngine::with_cache`])
 /// short-circuits repeat requests.
 #[derive(Debug, Clone, Default)]
@@ -133,7 +142,7 @@ impl StreamingEngine {
     ///
     /// Propagates base-tree construction and scheduling failures.
     pub fn mixer_count(&self, target: &TargetRatio) -> Result<usize, EngineError> {
-        crate::pipeline::resolve_mixers(&self.config, target)
+        resolve_mixers(&self.config, target)
     }
 
     /// Plans the production of `demand` droplets of `target`.
@@ -153,10 +162,7 @@ impl StreamingEngine {
     /// [`EngineError::StorageInfeasible`] when even a demand-2 pass exceeds
     /// the storage budget, and propagates construction/scheduling failures.
     pub fn plan(&self, target: &TargetRatio, demand: u64) -> Result<StreamPlan, EngineError> {
-        match &self.cache {
-            None => self.plan_uncached(target, demand),
-            Some(_) => self.plan_shared(target, demand).map(|plan| (*plan).clone()),
-        }
+        self.plan_shared(target, demand).map(Arc::unwrap_or_clone)
     }
 
     /// Like [`StreamingEngine::plan`], but hands out the plan behind an
@@ -172,9 +178,18 @@ impl StreamingEngine {
         target: &TargetRatio,
         demand: u64,
     ) -> Result<Arc<StreamPlan>, EngineError> {
-        preflight(target, demand)?;
+        // The feasibility gate every request passes before any planning
+        // work: zero demand keeps its historical typed error, then the
+        // dmf-check mixability pre-pass rejects CF vectors unreachable
+        // under the (1:1)-mix algebra. Infeasible requests never reach the
+        // planner — or the plan cache.
+        if demand == 0 {
+            return Err(EngineError::ZeroDemand);
+        }
+        dmf_check::assert_feasible(target.parts(), demand)
+            .map_err(|e| EngineError::Infeasible { rule: e.rule, what: e.message })?;
         let Some(cache) = &self.cache else {
-            return self.plan_uncached(target, demand).map(Arc::new);
+            return plan_uncached(&self.config, target, demand).map(Arc::new);
         };
         let key = PlanKey::new(&self.config, target, demand);
         let hit = {
@@ -187,43 +202,164 @@ impl StreamingEngine {
             let _hit = dmf_obs::span!("plan_cache_hit");
             return Ok(hit);
         }
-        let plan = Arc::new(self.plan_uncached(target, demand)?);
+        let plan = Arc::new(plan_uncached(&self.config, target, demand)?);
         cache.store(key, Arc::clone(&plan));
         Ok(plan)
     }
+}
 
-    /// Runs the mixability pre-pass for a request without planning it.
-    ///
-    /// This is the same gate every `plan*` entry point runs; exposed so
-    /// batch front ends can triage requests before spawning workers.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::ZeroDemand`] or [`EngineError::Infeasible`].
-    pub fn preflight(target: &TargetRatio, demand: u64) -> Result<(), EngineError> {
-        preflight(target, demand)
-    }
-
-    /// Runs the staged pipeline end to end, bypassing any cache.
-    fn plan_uncached(&self, target: &TargetRatio, demand: u64) -> Result<StreamPlan, EngineError> {
-        preflight(target, demand)?;
-        let _span = dmf_obs::span!("engine_plan");
-        let mut ctx = PlanContext::new(self.config, target, demand)?;
-        crate::Pipeline::standard().run(&mut ctx)?;
-        ctx.into_plan()
+/// Resolves the mixer budget for `target` under `config` (the `Mlb` of its
+/// MinMix tree for [`MixerBudget::MmLowerBound`]).
+fn resolve_mixers(config: &EngineConfig, target: &TargetRatio) -> Result<usize, EngineError> {
+    match config.mixers {
+        MixerBudget::Fixed(m) => Ok(m),
+        MixerBudget::MmLowerBound => {
+            let mm = MinMix.build_graph(target)?;
+            Ok(mixer_lower_bound(&mm)?)
+        }
     }
 }
 
-/// The feasibility gate run before any planning work: zero demand keeps
-/// its historical typed error, then the dmf-check mixability pre-pass
-/// rejects CF vectors unreachable under the (1:1)-mix algebra. Infeasible
-/// requests never reach the pipeline — or the plan cache.
-fn preflight(target: &TargetRatio, demand: u64) -> Result<(), EngineError> {
-    if demand == 0 {
-        return Err(EngineError::ZeroDemand);
+/// Runs `f` as the planner step `name`: one `dmf-obs` span, parented
+/// under the caller's current span, and one run of the counter of the
+/// same name.
+fn stage<T>(name: &'static str, f: impl FnOnce() -> T) -> T {
+    let _span = dmf_obs::span!(name);
+    let obs = dmf_obs::global();
+    if obs.is_enabled() {
+        obs.count(name, 1);
     }
-    dmf_check::assert_feasible(target.parts(), demand)
-        .map_err(|e| EngineError::Infeasible { rule: e.rule, what: e.message })
+    f()
+}
+
+/// Plans a request the feasibility gate admitted, bypassing any cache.
+fn plan_uncached(
+    config: &EngineConfig,
+    target: &TargetRatio,
+    demand: u64,
+) -> Result<StreamPlan, EngineError> {
+    let _span = dmf_obs::span!("engine_plan");
+    let (template, mixers) = stage("stage_build_tree", || {
+        let template = {
+            let _span = dmf_obs::span!("mixalgo_build");
+            config.algorithm.build_template(target)?
+        };
+        Ok::<_, EngineError>((template, resolve_mixers(config, target)?))
+    })?;
+    let build = |pass_demand| build_pass(config, target, &template, mixers, pass_demand);
+    let passes = stage("stage_split_passes", || {
+        let mut passes = Vec::new();
+        let mut remaining = demand;
+        while remaining > 0 {
+            let pass_demand = match config.storage_limit {
+                None => remaining,
+                Some(limit) => max_pass_demand(build, remaining, limit)?,
+            };
+            passes.push(build(pass_demand)?);
+            remaining = remaining.saturating_sub(pass_demand);
+        }
+        Ok::<_, EngineError>(passes)
+    })?;
+
+    let total_cycles = passes.iter().map(|p| u64::from(p.cycles())).sum();
+    let mut inputs = vec![0u64; target.fluid_count()];
+    let mut total_waste = 0u64;
+    let mut total_mix_splits = 0u64;
+    for pass in &passes {
+        let stats = pass.forest.stats();
+        total_waste += stats.waste as u64;
+        total_mix_splits += stats.mix_splits as u64;
+        for (acc, v) in inputs.iter_mut().zip(&stats.inputs) {
+            *acc += v;
+        }
+    }
+    let plan = StreamPlan {
+        target: target.clone(),
+        demand,
+        mixers,
+        total_cycles,
+        total_mix_splits,
+        total_waste,
+        total_inputs: inputs.iter().sum(),
+        inputs,
+        storage_peak: passes.iter().map(PassPlan::storage_units).max().unwrap_or(0),
+        passes,
+    };
+    let obs = dmf_obs::global();
+    if obs.is_enabled() {
+        obs.gauge_set("plan.demand", plan.demand);
+        obs.gauge_set("plan.passes", plan.passes.len() as u64);
+        obs.gauge_set("plan.cycles", plan.total_cycles);
+        obs.gauge_set("plan.mix_splits", plan.total_mix_splits);
+        obs.gauge_set("plan.waste", plan.total_waste);
+        obs.gauge_set("plan.inputs", plan.total_inputs);
+        obs.gauge_set("plan.storage_peak", plan.storage_peak as u64);
+    }
+    // Translation validation: in debug builds every emitted plan must
+    // satisfy the independent checker's invariants.
+    #[cfg(debug_assertions)]
+    {
+        let report = crate::static_check(&plan);
+        debug_assert!(report.is_clean(), "engine emitted an unsound plan:\n{report}");
+    }
+    Ok(plan)
+}
+
+/// One pass for `demand` droplets: the template expanded into a mixing
+/// forest under the engine's reuse policy, then scheduled onto `mixers`
+/// with its storage profile.
+fn build_pass(
+    config: &EngineConfig,
+    target: &TargetRatio,
+    template: &Template,
+    mixers: usize,
+    demand: u64,
+) -> Result<PassPlan, EngineError> {
+    let forest = stage("stage_build_forest", || {
+        // Subgraph-sharing base algorithms (MTCS, RSM) reuse droplets even
+        // within one tree; their forests must too, or the engine would lose
+        // the sharing the repeated baseline enjoys.
+        let reuse = if config.algorithm.shares_subgraphs() {
+            dmf_forest::ReusePolicy::Eager
+        } else {
+            config.reuse
+        };
+        dmf_forest::build_forest(template, target, demand, reuse)
+    })?;
+    stage("stage_schedule", || {
+        let schedule = config.scheduler.schedule(&forest, mixers)?;
+        let storage = schedule.storage(&forest);
+        Ok(PassPlan { demand, forest, schedule, storage })
+    })
+}
+
+/// The paper's `D'`: the largest demand (up to `remaining`) whose
+/// single-pass schedule fits the storage budget.
+fn max_pass_demand(
+    build: impl Fn(u64) -> Result<PassPlan, EngineError>,
+    remaining: u64,
+    limit: usize,
+) -> Result<u64, EngineError> {
+    let first = build(remaining.min(2))?;
+    if first.storage_units() > limit {
+        return Err(EngineError::StorageInfeasible { limit, needed: first.storage_units() });
+    }
+    // SRS storage is not strictly monotone in the demand (see the
+    // Fig. 7 jitter), so keep scanning past the first infeasible
+    // demand for a short window before giving up.
+    let mut best = remaining.min(2);
+    let mut candidate = best + 2;
+    let mut misses = 0u32;
+    while candidate <= remaining && misses < 4 {
+        if build(candidate)?.storage_units() > limit {
+            misses += 1;
+        } else {
+            best = candidate;
+            misses = 0;
+        }
+        candidate += 2;
+    }
+    Ok(best)
 }
 
 #[cfg(test)]

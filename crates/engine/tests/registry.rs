@@ -1,11 +1,13 @@
-//! Registry-dispatch guarantees of the pluggable pipeline:
+//! Registry-dispatch and span-shape guarantees of the planner:
 //!
 //! * every seeded (algorithm, scheduler) pair plans the paper's five
 //!   Table 2 protocols byte-identically whichever of its registered names
 //!   (key, label, alias) the config was resolved from;
-//! * each `MetaStage`-wrapped stage emits exactly one span per run under
-//!   its legacy name, correctly parented (`stage_build_forest` and
-//!   `stage_schedule` nest under `stage_split_passes`);
+//! * each planner step emits exactly one span per run under its legacy
+//!   name, correctly parented (every `stage_build_forest` and
+//!   `stage_schedule` nests under the one `stage_split_passes`, for a
+//!   single pass and for a multi-pass storage-limited plan), and bumps
+//!   its counter once per span;
 //! * a brand-new algorithm registered from the outside — no edits to
 //!   `dmf-mixalgo` or the engine — reaches `PlanRequest::with_algorithm`
 //!   and `plan_batch`.
@@ -98,35 +100,55 @@ fn every_registered_name_plans_byte_identically() {
 #[test]
 fn every_stage_emits_one_span_under_its_legacy_name() {
     let _planning = planning();
+    dmf_obs::global().set_enabled(true);
+    // Single pass: each stage runs once.
+    assert_stage_span_tree(EngineConfig::default(), 1);
+    // Multi-pass under q' = 3: the D' probes of both passes and the two
+    // passes themselves build and schedule 16 forests, all of them inside
+    // the one `stage_split_passes` span.
+    assert_stage_span_tree(EngineConfig::default().with_storage_limit(3), 16);
+}
+
+/// Plans PCR D=20 under `config` inside a test root span and checks the
+/// stage span tree: one `engine_plan`, `stage_build_tree` and
+/// `stage_split_passes` each, `per_pass` forest and schedule spans all
+/// parented under the split, and every `stage_*` counter advanced by its
+/// span count.
+fn assert_stage_span_tree(config: EngineConfig, per_pass: usize) {
+    const STAGES: [&str; 4] =
+        ["stage_build_tree", "stage_build_forest", "stage_schedule", "stage_split_passes"];
     let recorder = dmf_obs::global();
-    recorder.set_enabled(true);
     let target = TargetRatio::new(vec![2, 1, 1, 1, 1, 1, 9]).unwrap();
+    let before = STAGES.map(|stage| recorder.counter(stage));
     let root = recorder.span("test_root");
     let (trace_id, root_id) = root.ids().unwrap();
-    StreamingEngine::new(EngineConfig::default()).plan(&target, 20).unwrap();
+    StreamingEngine::new(config).plan(&target, 20).unwrap();
     drop(root);
     let spans = recorder.trace_spans(trace_id);
 
     let find = |name: &str| -> Vec<&dmf_obs::SpanRecord> {
         spans.iter().filter(|s| s.name == name).collect()
     };
-    // Exactly one span per stage, under the legacy stage names.
     let engine_plan = find("engine_plan");
     assert_eq!(engine_plan.len(), 1, "{spans:#?}");
-    for stage in ["stage_build_tree", "stage_build_forest", "stage_schedule", "stage_split_passes"]
-    {
-        assert_eq!(find(stage).len(), 1, "expected exactly one {stage} span\n{spans:#?}");
+    for (stage, expected) in STAGES.into_iter().zip([1, per_pass, per_pass, 1]) {
+        assert_eq!(find(stage).len(), expected, "{stage} span count\n{spans:#?}");
+    }
+    for (stage, before) in STAGES.into_iter().zip(before) {
+        let runs = find(stage).len() as u64;
+        assert_eq!(recorder.counter(stage) - before, runs, "{stage} counter delta");
     }
     // Parenting: engine_plan under the root; build_tree and split_passes
-    // under engine_plan; the per-pass forest/schedule stages under
-    // split_passes (SplitPasses drives them through their own MetaStage).
+    // under engine_plan; every per-pass forest/schedule stage under the
+    // single split_passes span.
     assert_eq!(engine_plan[0].parent_id, root_id);
     let engine_id = engine_plan[0].span_id;
     assert_eq!(find("stage_build_tree")[0].parent_id, engine_id);
     let split = find("stage_split_passes")[0];
     assert_eq!(split.parent_id, engine_id);
-    assert_eq!(find("stage_build_forest")[0].parent_id, split.span_id);
-    assert_eq!(find("stage_schedule")[0].parent_id, split.span_id);
+    for stage in ["stage_build_forest", "stage_schedule"] {
+        assert!(find(stage).iter().all(|s| s.parent_id == split.span_id), "{stage} parent");
+    }
     // The base-tree construction span stays nested inside its stage.
     assert_eq!(
         find("mixalgo_build").first().map(|s| s.parent_id),

@@ -92,13 +92,19 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// The deepest array/object nesting [`parse`] accepts. Far above the
+/// depth of anything the repo writes, it bounds the parser's recursion so
+/// a hostile line fails typed instead of overflowing the stack.
+const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON value (typically one JSONL line).
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] on malformed input or trailing garbage.
+/// Returns a [`ParseError`] on malformed input, trailing garbage, or
+/// arrays and objects nested more than 128 deep.
 pub fn parse(input: &str) -> Result<Json, ParseError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
@@ -120,6 +126,8 @@ pub fn parse_lines(input: &str) -> Result<Vec<Json>, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -157,8 +165,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -166,6 +174,20 @@ impl<'a> Parser<'a> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    /// Parses one array or object with `container`, one level deeper.
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, ParseError>,
+    ) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Json, ParseError> {
@@ -338,6 +360,25 @@ mod tests {
         assert!(parse("\"unterminated").is_err());
         assert!(parse("1 2").is_err());
         assert!(parse("nope").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&deepest).is_ok());
+        let deeper = format!("{{\"a\":{deepest}}}");
+        assert_eq!(parse(&deeper).unwrap_err().message, "nesting too deep");
+    }
+
+    #[test]
+    fn hostile_nesting_fails_typed_on_a_default_stack() {
+        // Recursing once per bracket, 200 000 unclosed brackets would
+        // overflow the stack of whichever thread parsed them.
+        let hostile = "[".repeat(200_000);
+        let result = std::thread::spawn(move || parse(&hostile)).join().unwrap();
+        let err = result.unwrap_err();
+        assert_eq!(err.message, "nesting too deep");
+        assert_eq!(err.at, MAX_DEPTH);
     }
 
     #[test]

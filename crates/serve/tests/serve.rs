@@ -122,6 +122,29 @@ fn bad_requests_get_typed_errors_and_do_not_kill_the_connection() {
 }
 
 #[test]
+fn a_deeply_nested_line_is_a_bad_request_and_the_server_keeps_serving() {
+    with_server(test_config(), |_, addr| {
+        // 200 000 unclosed brackets: an unbounded recursive parser would
+        // overflow the connection thread's stack and abort the process.
+        let mut hostile = Client::connect(addr).unwrap();
+        let line = hostile.request(&"[".repeat(200_000)).unwrap();
+        let v = json::parse(&line).unwrap();
+        assert_eq!(v.get("error").and_then(Json::as_str), Some("bad_request"), "{line}");
+        assert!(line.contains("nesting too deep"), "{line}");
+
+        let mut client = Client::connect(addr).unwrap();
+        let line =
+            client.request(&format!(r#"{{"op":"plan","ratio":"{PCR}","demand":20}}"#)).unwrap();
+        let v = json::parse(&line).unwrap();
+        assert_eq!(
+            v.get("summary").and_then(Json::as_str),
+            Some("D=20 passes=1 Tc=11 Tms=27 W=5 I=25 q=5 (Mc=3)"),
+            "{line}"
+        );
+    });
+}
+
+#[test]
 fn infeasible_requests_fail_fast_with_the_feasibility_rule() {
     with_server(test_config(), |server, addr| {
         let mut client = Client::connect(addr).unwrap();

@@ -177,6 +177,16 @@ grep -q '^dmfstream_profile;engine_plan' /tmp/dmf_profile.folded || {
   exit 1
 }
 
+echo "==> multi-pass profile smoke (per-pass forest/schedule spans nest under stage_split_passes)"
+target/release/dmfstream profile 2:1:1:1:1:1:9 --demand 20 --storage 3 \
+  --folded /tmp/dmf_profile_multipass.folded >/dev/null
+for stage in stage_build_forest stage_schedule; do
+  grep -q "^dmfstream_profile;engine_plan;stage_split_passes;$stage " /tmp/dmf_profile_multipass.folded || {
+    echo "multi-pass profile smoke: no $stage stack under stage_split_passes"
+    exit 1
+  }
+done
+
 echo "==> serve smoke (served plan must match dmfstream plan; clean shutdown)"
 serve_log=$(mktemp)
 target/release/dmfstream serve --port 0 --workers 2 >"$serve_log" 2>&1 &
@@ -225,6 +235,23 @@ printf '%s' "$rejected" | grep -q 'FEAS001' || {
 stats=$(target/release/dmfstream request --op stats --connect "$serve_addr")
 printf '%s' "$stats" | grep -q '"infeasible":1' || {
   echo "serve smoke: stats did not count the infeasible request: $stats"
+  exit 1
+}
+# A hostile line of 200k '[' must be answered bad_request, not overflow
+# the connection thread's stack and abort the server.
+exec 3<>"/dev/tcp/${serve_addr%:*}/${serve_addr##*:}"
+{ head -c 200000 /dev/zero | tr '\0' '['; echo; } >&3
+hostile_reply=""
+read -r -t 10 hostile_reply <&3 || true
+exec 3<&-
+printf '%s' "$hostile_reply" | grep -q '"error":"bad_request"' || {
+  echo "serve smoke: deeply nested line was not answered bad_request: $hostile_reply"
+  exit 1
+}
+served=$(target/release/dmfstream request 2:1:1:1:1:1:9 --demand 20 --connect "$serve_addr")
+served_summary=$(printf '%s' "$served" | sed -n 's/.*"summary":"\([^"]*\)".*/\1/p')
+[ "$served_summary" = "$plan_summary" ] || {
+  echo "serve smoke: after the hostile line, served summary '$served_summary' != plan output '$plan_summary'"
   exit 1
 }
 target/release/dmfstream request --op shutdown --connect "$serve_addr" >/dev/null
