@@ -85,8 +85,8 @@ pub enum SimError {
         count: usize,
     },
     /// The simulator's own bookkeeping broke an internal invariant (e.g. a
-    /// fault-mode handler ran without a fault context). Indicates a bug in
-    /// the simulator, never in the program being executed.
+    /// fault record index out of range). Indicates a bug in the
+    /// simulator, never in the program being executed.
     Internal {
         /// The invariant that did not hold.
         invariant: &'static str,

@@ -22,6 +22,12 @@
 //! ([`Trace`]) — droplet life cycles, storage hops and mix events with
 //! cycle attribution — for debugging compiled programs.
 //!
+//! There is one executor. [`Simulator::run`], [`Simulator::run_traced`]
+//! and [`Simulator::run_faulty`] drive the same instruction dispatcher,
+//! whose fault hooks (failed dispenses, stuck electrodes, split errors,
+//! sensors) read an [`InjectedFaults`] plan; the first two pass an empty
+//! plan, so a plain run is simply a fault run with nothing to inject.
+//!
 //! # Examples
 //!
 //! ```

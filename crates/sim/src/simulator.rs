@@ -1,6 +1,6 @@
 use crate::{
     ChipProgram, DropletId, FaultKind, FaultRecord, FaultyOutcome, InjectedFaults, Instruction,
-    SimError, SimReport, Trace,
+    SimError, SimReport, TimedEvent, Trace, TraceEvent,
 };
 use dmf_chip::{ChipSpec, Coord, ModuleId, ModuleKind};
 use dmf_pins::PinAssignment;
@@ -58,7 +58,7 @@ impl<'a> Simulator<'a> {
     /// Returns the first physical-rule violation as a [`SimError`]; the
     /// statistics gathered up to that point are discarded.
     pub fn run(&self, program: &ChipProgram) -> Result<SimReport, SimError> {
-        Ok(self.execute_program(program, false)?.0)
+        Ok(self.execute_program(program, &InjectedFaults::default(), Mode::Plain)?.report)
     }
 
     /// Runs a program and records the full event log alongside the report.
@@ -67,9 +67,9 @@ impl<'a> Simulator<'a> {
     ///
     /// Same conditions as [`Simulator::run`].
     pub fn run_traced(&self, program: &ChipProgram) -> Result<(SimReport, Trace), SimError> {
-        let (report, trace) = self.execute_program(program, true)?;
-        let trace = trace.ok_or(SimError::Internal { invariant: "traced run records a trace" })?;
-        Ok((report, trace))
+        let no_faults = InjectedFaults::default();
+        let state = self.execute_program(program, &no_faults, Mode::Traced)?;
+        Ok((state.report, state.trace))
     }
 
     /// Runs a program under a fault plan, always traced and tolerant of
@@ -83,7 +83,8 @@ impl<'a> Simulator<'a> {
     /// and sensor checkpoints (every [`InjectedFaults::sensor_period`]
     /// cycles, plus one at the end of the run) detect missing droplets
     /// and reject erroneous ones to waste, so the program completes with
-    /// a truthful account of what survived.
+    /// a truthful account of what survived. An unroutable `TransportTo`
+    /// strands its droplet instead of failing with [`SimError::NoRoute`].
     ///
     /// # Errors
     ///
@@ -94,59 +95,63 @@ impl<'a> Simulator<'a> {
         program: &ChipProgram,
         faults: &InjectedFaults,
     ) -> Result<FaultyOutcome, SimError> {
-        let _span = dmf_obs::span!("sim_execute");
-        let mut state = SimState::new(self.chip);
-        state.pins = self.pins;
-        state.trace = Some(Trace::default());
-        state.fault = Some(FaultCtx::new(faults.clone()));
-        for (step, instruction) in program.instructions().iter().enumerate() {
-            state.step = step;
-            state.execute_faulty(instruction)?;
-        }
-        // End-of-run checkpoint: everything still latent becomes detected
-        // and no erroneous droplet survives.
-        state.sensor_checkpoint()?;
-        let ctx = state
-            .fault
-            .take()
-            .ok_or(SimError::Internal { invariant: "fault context in fault mode" })?;
+        let state = self.execute_program(program, faults, Mode::Faulty)?;
         let mut survivors: Vec<DropletId> = state.droplets.keys().copied().collect();
-        survivors.extend(ctx.quarantined.iter().copied());
+        survivors.extend(state.fault.quarantined.iter().copied());
         survivors.sort_unstable();
-        crate::bridge::record_report(dmf_obs::global(), &state.report);
-        let trace =
-            state.trace.ok_or(SimError::Internal { invariant: "traced run records a trace" })?;
-        Ok(FaultyOutcome { report: state.report, trace, faults: ctx.records, survivors })
+        Ok(FaultyOutcome {
+            report: state.report,
+            trace: state.trace,
+            faults: state.fault.records,
+            survivors,
+        })
     }
 
-    fn execute_program(
-        &self,
+    /// The one run loop behind [`Simulator::run`], [`Simulator::run_traced`]
+    /// and [`Simulator::run_faulty`]: executes every instruction from an
+    /// empty chip, then ends the run the way `mode` asks.
+    fn execute_program<'s>(
+        &'s self,
         program: &ChipProgram,
-        traced: bool,
-    ) -> Result<(SimReport, Option<Trace>), SimError> {
+        faults: &'s InjectedFaults,
+        mode: Mode,
+    ) -> Result<SimState<'s>, SimError> {
         let _span = dmf_obs::span!("sim_execute");
-        let mut state = SimState::new(self.chip);
-        state.pins = self.pins;
-        if traced {
-            state.trace = Some(Trace::default());
-        }
+        let mut state = SimState::new(self.chip, self.pins, faults, mode);
         for (step, instruction) in program.instructions().iter().enumerate() {
             state.step = step;
             state.execute(instruction)?;
         }
-        if !self.allow_leftovers && !state.droplets.is_empty() {
+        if mode == Mode::Faulty {
+            // End-of-run checkpoint: everything still latent becomes
+            // detected and no erroneous droplet survives.
+            state.sensor_checkpoint()?;
+        } else if !self.allow_leftovers && !state.droplets.is_empty() {
             return Err(SimError::LeftoverDroplets { count: state.droplets.len() });
         }
         crate::bridge::record_report(dmf_obs::global(), &state.report);
-        Ok((state.report, state.trace))
+        Ok(state)
     }
 }
 
-/// Fault-mode bookkeeping: the plan being injected and the cascade state
-/// (which droplets are lost or carrying a volume error, and which record
-/// each traces back to).
+/// What a run records and tolerates; dispatch, fault hooks and
+/// accounting are the same code path in every mode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    /// Report only.
+    Plain,
+    /// Report and trace.
+    Traced,
+    /// Traced under a fault plan: an unroutable `TransportTo` strands its
+    /// droplet, leftovers are allowed and a final sensor checkpoint runs.
+    Faulty,
+}
+
+/// Fault bookkeeping: the cascade state (which droplets are lost or
+/// carrying a volume error, and which record each traces back to) and
+/// the ordinals the plan is keyed by. Stays empty under an empty plan.
+#[derive(Default)]
 struct FaultCtx {
-    faults: InjectedFaults,
     /// Lost droplet → index of the originating record in `records`.
     lost: HashMap<DropletId, usize>,
     /// Erroneous droplet → index of the originating record.
@@ -160,67 +165,92 @@ struct FaultCtx {
     mix_seq: u64,
 }
 
-impl FaultCtx {
-    fn new(faults: InjectedFaults) -> Self {
-        FaultCtx {
-            faults,
-            lost: HashMap::new(),
-            tainted: HashMap::new(),
-            records: Vec::new(),
-            quarantined: Vec::new(),
-            dispense_seq: 0,
-            mix_seq: 0,
-        }
-    }
-}
-
 struct SimState<'a> {
     chip: &'a ChipSpec,
+    pins: Option<&'a PinAssignment>,
+    /// The fault plan being injected (empty outside fault mode).
+    faults: &'a InjectedFaults,
+    mode: Mode,
+    /// Row-major per-cell table: the module whose footprint covers the
+    /// cell and whether that module is a mixer.
+    footprints: Vec<Option<(ModuleId, bool)>>,
+    /// Routing grid with the chip's diagnosed-dead electrodes blocked.
+    grid: Grid,
     droplets: HashMap<DropletId, Coord>,
     storage: HashMap<ModuleId, DropletId>,
     report: SimReport,
-    trace: Option<Trace>,
+    trace: Trace,
     step: usize,
-    fault: Option<FaultCtx>,
-    pins: Option<&'a PinAssignment>,
+    fault: FaultCtx,
 }
 
 impl<'a> SimState<'a> {
-    fn new(chip: &'a ChipSpec) -> Self {
+    fn new(
+        chip: &'a ChipSpec,
+        pins: Option<&'a PinAssignment>,
+        faults: &'a InjectedFaults,
+        mode: Mode,
+    ) -> Self {
+        let width = chip.width();
+        let mut footprints = vec![None; (width * chip.height()) as usize];
+        for m in chip.modules() {
+            let r = m.rect();
+            for y in r.y..r.y + r.h {
+                for x in r.x..r.x + r.w {
+                    footprints[(y * width + x) as usize] = Some((m.id(), m.is_mixer()));
+                }
+            }
+        }
+        let mut grid = Grid::new(width, chip.height());
+        for cell in chip.dead_cells() {
+            grid.block(cell);
+        }
         SimState {
             chip,
+            pins,
+            faults,
+            mode,
+            footprints,
+            grid,
             droplets: HashMap::new(),
             storage: HashMap::new(),
             report: SimReport::default(),
-            trace: None,
+            trace: Trace::default(),
             step: 0,
-            fault: None,
-            pins: None,
+            fault: FaultCtx::default(),
         }
     }
 
-    /// The fault context, which every fault-mode handler relies on.
-    ///
-    /// Fault-mode entry points install it before dispatching, so a miss is
-    /// a simulator bug and surfaces as [`SimError::Internal`] instead of a
-    /// panic.
-    fn fault_ctx(&mut self) -> Result<&mut FaultCtx, SimError> {
-        self.fault.as_mut().ok_or(SimError::Internal { invariant: "fault context in fault mode" })
-    }
-
-    fn record(&mut self, event: crate::TraceEvent) {
-        if let Some(trace) = &mut self.trace {
-            trace.events.push(crate::TimedEvent {
-                step: self.step,
-                cycle: self.report.cycles,
-                event,
-            });
+    fn record(&mut self, event: TraceEvent) {
+        if self.mode != Mode::Plain {
+            let (step, cycle) = (self.step, self.report.cycles);
+            self.trace.events.push(TimedEvent { step, cycle, event });
         }
     }
 
+    /// The instruction dispatcher. Each arm carries its fault hook
+    /// inline; under an empty fault plan every hook is inert, so a plain
+    /// run and a zero-fault run take the same path.
     fn execute(&mut self, instruction: &Instruction) -> Result<(), SimError> {
         match instruction {
+            // Cascaded loss: an instruction naming a lost droplet is skipped.
+            Instruction::Transport { droplet, .. }
+            | Instruction::TransportTo { droplet, .. }
+            | Instruction::Store { droplet, .. }
+            | Instruction::Fetch { droplet, .. }
+            | Instruction::Discard { droplet, .. }
+            | Instruction::Emit { droplet, .. }
+                if self.fault.lost.contains_key(droplet) =>
+            {
+                Ok(())
+            }
             Instruction::Dispense { reservoir, droplet } => {
+                let ordinal = self.fault.dispense_seq;
+                self.fault.dispense_seq += 1;
+                if self.faults.failed_dispenses.contains(&ordinal) {
+                    self.lose(FaultKind::DispenseFailed { reservoir: *reservoir }, *droplet);
+                    return Ok(());
+                }
                 let module = self.expect_kind(*reservoir, "a fluid reservoir", |k| {
                     matches!(k, ModuleKind::Reservoir { .. })
                 })?;
@@ -241,35 +271,63 @@ impl<'a> SimState<'a> {
                 self.report.dispensed += 1;
                 *self.report.electrode_actuations.entry(port).or_insert(0) += 1;
                 self.ghost_actuate(port);
-                self.record(crate::TraceEvent::Dispensed {
+                self.record(TraceEvent::Dispensed {
                     droplet: *droplet,
                     reservoir: *reservoir,
                     at: port,
                 });
                 Ok(())
             }
-            Instruction::Transport { droplet, path } => self.transport(*droplet, path.clone()),
+            Instruction::Transport { droplet, path } => self.transport(*droplet, path),
             Instruction::TransportTo { droplet, module } => {
-                let target = self
-                    .chip
-                    .modules()
-                    .get(module.0)
-                    .ok_or(SimError::WrongModuleKind { module: *module, expected: "present" })?;
+                let target = self.expect_kind(*module, "present", |_| true)?;
                 let from = self.position(*droplet)?;
                 if from == target.port() {
                     return Ok(());
                 }
-                let path = self
-                    .route(from, target.port(), *droplet)
-                    .ok_or(SimError::NoRoute { droplet: *droplet, module: *module })?;
-                self.transport(*droplet, path)
+                match self.route(from, target.port(), *droplet) {
+                    Some(path) => self.transport(*droplet, &path),
+                    // Boxed in (dead electrodes closed every corridor): the
+                    // fault-mode controller abandons the droplet rather
+                    // than aborting the whole run.
+                    None if self.mode == Mode::Faulty => {
+                        self.droplets.remove(droplet);
+                        self.lose(FaultKind::Stranded { at: from }, *droplet);
+                        Ok(())
+                    }
+                    None => Err(SimError::NoRoute { droplet: *droplet, module: *module }),
+                }
             }
             Instruction::MixSplit { mixer, a, b, out_a, out_b } => {
+                let ordinal = self.fault.mix_seq;
+                self.fault.mix_seq += 1;
+                let lost = |d: &DropletId| self.fault.lost.get(d).copied();
+                if let Some(idx) = lost(a).or_else(|| lost(b)) {
+                    // The mix cannot fire. Quarantine a surviving operand so
+                    // it cannot contaminate later rendezvous at this port,
+                    // and propagate the loss to both outputs.
+                    for operand in [*a, *b] {
+                        if !self.fault.lost.contains_key(&operand)
+                            && self.droplets.remove(&operand).is_some()
+                        {
+                            self.fault.quarantined.push(operand);
+                        }
+                    }
+                    self.fault.lost.insert(*out_a, idx);
+                    self.fault.lost.insert(*out_b, idx);
+                    return Ok(());
+                }
                 let module =
                     self.expect_kind(*mixer, "a mixer", |k| matches!(k, ModuleKind::Mixer))?;
                 let port = module.port();
                 self.expect_at(*a, port)?;
                 self.expect_at(*b, port)?;
+                // A mix merges two distinct droplets into two distinct halves.
+                for (x, y) in [(a, b), (out_a, out_b)] {
+                    if x == y {
+                        return Err(SimError::DuplicateDroplet { droplet: *x });
+                    }
+                }
                 for out in [out_a, out_b] {
                     if self.droplets.contains_key(out) && out != a && out != b {
                         return Err(SimError::DuplicateDroplet { droplet: *out });
@@ -280,11 +338,24 @@ impl<'a> SimState<'a> {
                 self.droplets.insert(*out_a, port);
                 self.droplets.insert(*out_b, port);
                 self.report.mix_splits += 1;
-                self.record(crate::TraceEvent::Mixed {
+                self.record(TraceEvent::Mixed {
                     mixer: *mixer,
                     inputs: [*a, *b],
                     outputs: [*out_a, *out_b],
                 });
+                // Split-error taint: injected at a bad split ordinal,
+                // inherited from either operand otherwise.
+                let tainted = |d: &DropletId| self.fault.tainted.get(d).copied();
+                let inherited = tainted(a).or_else(|| tainted(b));
+                let idx = if self.faults.bad_splits.contains(&ordinal) {
+                    Some(self.inject(FaultKind::SplitError { mixer: *mixer }, *out_a))
+                } else {
+                    inherited
+                };
+                if let Some(idx) = idx {
+                    self.fault.tainted.insert(*out_a, idx);
+                    self.fault.tainted.insert(*out_b, idx);
+                }
                 Ok(())
             }
             Instruction::Store { droplet, cell } => {
@@ -296,13 +367,13 @@ impl<'a> SimState<'a> {
                 }
                 self.storage.insert(*cell, *droplet);
                 self.report.storage_peak = self.report.storage_peak.max(self.storage.len());
-                self.record(crate::TraceEvent::Stored { droplet: *droplet, cell: *cell });
+                self.record(TraceEvent::Stored { droplet: *droplet, cell: *cell });
                 Ok(())
             }
             Instruction::Fetch { droplet, cell } => match self.storage.get(cell) {
                 Some(d) if d == droplet => {
                     self.storage.remove(cell);
-                    self.record(crate::TraceEvent::Fetched { droplet: *droplet, cell: *cell });
+                    self.record(TraceEvent::Fetched { droplet: *droplet, cell: *cell });
                     Ok(())
                 }
                 _ => Err(SimError::StorageBusy { cell: *cell }),
@@ -313,26 +384,41 @@ impl<'a> SimState<'a> {
                 self.expect_at(*droplet, module.port())?;
                 self.droplets.remove(droplet);
                 self.report.discarded += 1;
-                self.record(crate::TraceEvent::Discarded { droplet: *droplet });
+                self.record(TraceEvent::Discarded { droplet: *droplet });
                 Ok(())
             }
             Instruction::Emit { droplet, output } => {
+                if let Some(&idx) = self.fault.tainted.get(droplet) {
+                    // Output-port sensor: the droplet's CF is outside the
+                    // tolerated margin — reject it to waste, never emit.
+                    return self.reject(*droplet, idx);
+                }
                 let module = self
                     .expect_kind(*output, "an output port", |k| matches!(k, ModuleKind::Output))?;
                 self.expect_at(*droplet, module.port())?;
                 self.droplets.remove(droplet);
                 self.report.emitted += 1;
-                self.record(crate::TraceEvent::Emitted { droplet: *droplet });
+                self.record(TraceEvent::Emitted { droplet: *droplet });
                 Ok(())
             }
             Instruction::CycleMarker { cycle } => {
                 self.report.cycles = self.report.cycles.max(*cycle);
+                let period = self.faults.sensor_period;
+                if period > 0 && cycle % period == 0 {
+                    self.sensor_checkpoint()?;
+                }
                 Ok(())
             }
         }
     }
 
+    /// Where `droplet` sits, for an instruction that acts on it. A stored
+    /// droplet leaves its cell only through `Fetch`, so naming it anywhere
+    /// else is a conflict on the cell that holds it.
     fn position(&self, droplet: DropletId) -> Result<Coord, SimError> {
+        if let Some((&cell, _)) = self.storage.iter().find(|(_, &d)| d == droplet) {
+            return Err(SimError::StorageBusy { cell });
+        }
         self.droplets.get(&droplet).copied().ok_or(SimError::UnknownDroplet { droplet })
     }
 
@@ -361,11 +447,26 @@ impl<'a> SimState<'a> {
         Ok(m)
     }
 
-    /// Cells a moving droplet must not touch: positions of every other
-    /// droplet that is parked on an open cell (droplets inside module
-    /// footprints are shielded by the module geometry).
-    fn parked_guard(&self, moving: DropletId) -> Vec<(DropletId, Coord)> {
-        self.droplets.iter().filter(|(id, _)| **id != moving).map(|(id, pos)| (*id, *pos)).collect()
+    /// The module covering `c` and whether it is a mixer; `None` on open
+    /// cells and off the chip.
+    fn module_at(&self, c: Coord) -> Option<(ModuleId, bool)> {
+        if !self.chip.in_bounds(c) {
+            return None;
+        }
+        self.footprints[(c.y * self.chip.width() + c.x) as usize]
+    }
+
+    fn in_module(&self, c: Coord) -> bool {
+        self.module_at(c).is_some()
+    }
+
+    fn in_mixer(&self, c: Coord) -> bool {
+        matches!(self.module_at(c), Some((_, true)))
+    }
+
+    /// Every droplet on chip other than `moving`, with its position.
+    fn parked(&self, moving: DropletId) -> impl Iterator<Item = (DropletId, Coord)> + '_ {
+        self.droplets.iter().filter(move |(&id, _)| id != moving).map(|(&id, &at)| (id, at))
     }
 
     /// Pin-safety gate for an intentional actuation of `actuated` by
@@ -377,12 +478,8 @@ impl<'a> SimState<'a> {
         let Some(pins) = self.pins else {
             return Ok(());
         };
-        let in_module = |c: Coord| self.chip.modules().iter().any(|m| m.rect().contains(c));
-        for (other, at) in self.parked_guard(moving) {
-            if in_module(at) {
-                continue;
-            }
-            if pins.co_activation_conflict(actuated, at) {
+        for (other, at) in self.parked(moving) {
+            if !self.in_module(at) && pins.co_activation_conflict(actuated, at) {
                 return Err(SimError::PinConflict { moving, parked: other, actuated, at });
             }
         }
@@ -401,7 +498,12 @@ impl<'a> SimState<'a> {
         }
     }
 
-    fn transport(&mut self, droplet: DropletId, path: Vec<Coord>) -> Result<(), SimError> {
+    /// Moves `droplet` along `path`, one actuation per hop. A latent dead
+    /// electrode of the fault plan on the path strands the droplet: it
+    /// moves up to the dead cell, sticks, and is lost.
+    fn transport(&mut self, droplet: DropletId, path: &[Coord]) -> Result<(), SimError> {
+        let dead = path.iter().skip(1).position(|c| self.faults.dead_cells.contains(c));
+        let path = dead.map_or(path, |i| &path[..=i + 1]);
         let from = self.position(droplet)?;
         let Some((&first, rest)) = path.split_first() else {
             return Err(SimError::BadPath { droplet, reason: "empty path".into() });
@@ -412,20 +514,9 @@ impl<'a> SimState<'a> {
                 reason: format!("path starts at {first}, droplet is at {from}"),
             });
         }
-        let parked = self.parked_guard(droplet);
-        let in_module = |c: Coord| self.chip.modules().iter().any(|m| m.rect().contains(c));
-        // Contact inside a mixer footprint is legal: droplets meeting there
-        // are about to be merged by the mixer itself.
-        let same_mixer = |a: Coord, b: Coord| {
-            self.chip.mixers().any(|m| m.rect().contains(a) && m.rect().contains(b))
-        };
         let mut pos = from;
         for &next in rest {
-            if next.x < 0
-                || next.x >= self.chip.width()
-                || next.y < 0
-                || next.y >= self.chip.height()
-            {
+            if !self.chip.in_bounds(next) {
                 return Err(SimError::BadPath { droplet, reason: format!("{next} off grid") });
             }
             if pos.manhattan(next) > 1 {
@@ -434,15 +525,16 @@ impl<'a> SimState<'a> {
                     reason: format!("non-adjacent hop {pos} -> {next}"),
                 });
             }
-            for &(other, at) in &parked {
+            for (other, at) in self.parked(droplet) {
                 if !next.touches(at) {
                     continue;
                 }
                 // Droplets shielded inside a module footprint only conflict
                 // when we land on their very cell; meeting inside a mixer is
                 // the intended merge.
-                let shielded = in_module(at) && at != next;
-                if !shielded && !same_mixer(at, next) {
+                let shielded = self.in_module(at) && at != next;
+                let same_mixer = self.in_mixer(at) && self.module_at(at) == self.module_at(next);
+                if !shielded && !same_mixer {
                     return Err(SimError::FluidicViolation { moving: droplet, parked: other, at });
                 }
             }
@@ -456,213 +548,45 @@ impl<'a> SimState<'a> {
         }
         let hops = path.windows(2).filter(|w| w[0] != w[1]).count() as u32;
         self.droplets.insert(droplet, pos);
-        self.record(crate::TraceEvent::Moved { droplet, from, to: pos, hops });
+        self.record(TraceEvent::Moved { droplet, from, to: pos, hops });
+        if dead.is_some() {
+            self.droplets.remove(&droplet);
+            self.lose(FaultKind::StuckElectrode { cell: pos }, droplet);
+        }
         Ok(())
-    }
-
-    /// Fault-mode dispatcher: cascades losses (instructions referencing a
-    /// lost droplet are skipped), injects planned faults at their ordinal
-    /// or electrode, propagates split-error taint through mixes, and runs
-    /// sensor checkpoints. With an empty plan every arm reduces to
-    /// [`SimState::execute`], keeping zero-fault runs byte-identical to
-    /// the baseline.
-    fn execute_faulty(&mut self, instruction: &Instruction) -> Result<(), SimError> {
-        match instruction {
-            Instruction::Dispense { reservoir, droplet } => {
-                let seq = {
-                    let ctx = self.fault_ctx()?;
-                    let s = ctx.dispense_seq;
-                    ctx.dispense_seq += 1;
-                    s
-                };
-                let fails = self
-                    .fault
-                    .as_ref()
-                    .is_some_and(|ctx| ctx.faults.failed_dispenses.contains(&seq));
-                if fails {
-                    self.report.droplets_lost += 1;
-                    let idx =
-                        self.inject(FaultKind::DispenseFailed { reservoir: *reservoir }, *droplet)?;
-                    self.mark_lost(*droplet, idx)?;
-                    return Ok(());
-                }
-                self.execute(instruction)
-            }
-            Instruction::Transport { droplet, path } => {
-                if self.is_lost(*droplet) {
-                    return Ok(());
-                }
-                self.transport_with_faults(*droplet, path.clone())
-            }
-            Instruction::TransportTo { droplet, module } => {
-                if self.is_lost(*droplet) {
-                    return Ok(());
-                }
-                let target = self
-                    .chip
-                    .modules()
-                    .get(module.0)
-                    .ok_or(SimError::WrongModuleKind { module: *module, expected: "present" })?;
-                let to = target.port();
-                let from = self.position(*droplet)?;
-                if from == to {
-                    return Ok(());
-                }
-                match self.route(from, to, *droplet) {
-                    Some(path) => self.transport_with_faults(*droplet, path),
-                    None => {
-                        // Boxed in (dead electrodes closed every corridor):
-                        // the controller abandons the droplet rather than
-                        // aborting the whole run.
-                        self.droplets.remove(droplet);
-                        self.report.droplets_lost += 1;
-                        let idx = self.inject(FaultKind::Stranded { at: from }, *droplet)?;
-                        self.mark_lost(*droplet, idx)?;
-                        Ok(())
-                    }
-                }
-            }
-            Instruction::MixSplit { mixer, a, b, out_a, out_b } => {
-                let seq = {
-                    let ctx = self.fault_ctx()?;
-                    let s = ctx.mix_seq;
-                    ctx.mix_seq += 1;
-                    s
-                };
-                if let Some(idx) = self.lost_record(*a).or_else(|| self.lost_record(*b)) {
-                    // The mix cannot fire. Quarantine a surviving operand so
-                    // it cannot contaminate later rendezvous at this port,
-                    // and propagate the loss to both outputs.
-                    for operand in [*a, *b] {
-                        if !self.is_lost(operand) && self.droplets.remove(&operand).is_some() {
-                            self.fault_ctx()?.quarantined.push(operand);
-                        }
-                    }
-                    self.mark_lost(*out_a, idx)?;
-                    self.mark_lost(*out_b, idx)?;
-                    return Ok(());
-                }
-                self.execute(instruction)?;
-                let inherited = self.taint_record(*a).or_else(|| self.taint_record(*b));
-                let bad_split =
-                    self.fault.as_ref().is_some_and(|ctx| ctx.faults.bad_splits.contains(&seq));
-                let idx = if bad_split {
-                    Some(self.inject(FaultKind::SplitError { mixer: *mixer }, *out_a)?)
-                } else {
-                    inherited
-                };
-                if let Some(idx) = idx {
-                    let ctx = self.fault_ctx()?;
-                    ctx.tainted.insert(*out_a, idx);
-                    ctx.tainted.insert(*out_b, idx);
-                }
-                Ok(())
-            }
-            Instruction::Store { droplet, .. }
-            | Instruction::Fetch { droplet, .. }
-            | Instruction::Discard { droplet, .. } => {
-                if self.is_lost(*droplet) {
-                    return Ok(());
-                }
-                self.execute(instruction)
-            }
-            Instruction::Emit { droplet, .. } => {
-                if self.is_lost(*droplet) {
-                    return Ok(());
-                }
-                if let Some(idx) = self.taint_record(*droplet) {
-                    // Output-port sensor: the droplet's CF is outside the
-                    // tolerated margin — reject it to waste, never emit.
-                    self.reject(*droplet, idx)?;
-                    return Ok(());
-                }
-                self.execute(instruction)
-            }
-            Instruction::CycleMarker { cycle } => {
-                self.execute(instruction)?;
-                let period =
-                    self.fault.as_ref().map(|ctx| ctx.faults.sensor_period).unwrap_or_default();
-                if period > 0 && cycle % period == 0 {
-                    self.sensor_checkpoint()?;
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Like [`SimState::transport`], but a path crossing a latent dead
-    /// electrode strands the droplet there: it moves up to the dead cell,
-    /// sticks, and is lost.
-    fn transport_with_faults(
-        &mut self,
-        droplet: DropletId,
-        path: Vec<Coord>,
-    ) -> Result<(), SimError> {
-        let dead_at = self.fault.as_ref().and_then(|ctx| {
-            path.iter().enumerate().skip(1).find(|(_, c)| ctx.faults.dead_cells.contains(c))
-        });
-        match dead_at.map(|(i, _)| i) {
-            None => self.transport(droplet, path),
-            Some(i) => {
-                let cell = path[i];
-                self.transport(droplet, path[..=i].to_vec())?;
-                self.droplets.remove(&droplet);
-                self.report.droplets_lost += 1;
-                let idx = self.inject(FaultKind::StuckElectrode { cell }, droplet)?;
-                self.mark_lost(droplet, idx)?;
-                Ok(())
-            }
-        }
     }
 
     /// Records an injected fault and its trace event, returning the
     /// record's index.
-    fn inject(&mut self, kind: FaultKind, droplet: DropletId) -> Result<usize, SimError> {
-        let cycle = self.report.cycles;
+    fn inject(&mut self, kind: FaultKind, droplet: DropletId) -> usize {
         self.report.faults_injected += 1;
-        self.record(crate::TraceEvent::FaultInjected { droplet, kind });
-        let ctx = self.fault_ctx()?;
-        ctx.records.push(FaultRecord {
+        self.record(TraceEvent::FaultInjected { droplet, kind });
+        self.fault.records.push(FaultRecord {
             kind,
             droplet,
-            injected_cycle: cycle,
+            injected_cycle: self.report.cycles,
             detected_cycle: None,
         });
-        Ok(ctx.records.len() - 1)
+        self.fault.records.len() - 1
     }
 
-    fn mark_lost(&mut self, droplet: DropletId, idx: usize) -> Result<(), SimError> {
-        self.fault_ctx()?.lost.insert(droplet, idx);
-        Ok(())
-    }
-
-    fn lost_record(&self, droplet: DropletId) -> Option<usize> {
-        self.fault.as_ref().and_then(|ctx| ctx.lost.get(&droplet).copied())
-    }
-
-    fn is_lost(&self, droplet: DropletId) -> bool {
-        self.lost_record(droplet).is_some()
-    }
-
-    fn taint_record(&self, droplet: DropletId) -> Option<usize> {
-        self.fault.as_ref().and_then(|ctx| ctx.tainted.get(&droplet).copied())
+    /// Injects a fault that costs `droplet`: it counts as lost and every
+    /// later instruction naming it is skipped.
+    fn lose(&mut self, kind: FaultKind, droplet: DropletId) {
+        self.report.droplets_lost += 1;
+        let idx = self.inject(kind, droplet);
+        self.fault.lost.insert(droplet, idx);
     }
 
     /// Marks record `idx` detected at the current cycle (idempotent).
     fn detect(&mut self, idx: usize) -> Result<(), SimError> {
-        let cycle = self.report.cycles;
-        let ctx = self.fault_ctx()?;
-        let fresh = match ctx.records.get_mut(idx) {
-            Some(record) if record.detected_cycle.is_none() => {
-                record.detected_cycle = Some(cycle);
-                true
-            }
-            Some(_) => false,
-            None => {
-                return Err(SimError::Internal { invariant: "fault record index in range" });
-            }
-        };
-        if fresh {
+        let record = self
+            .fault
+            .records
+            .get_mut(idx)
+            .ok_or(SimError::Internal { invariant: "fault record index in range" })?;
+        if record.detected_cycle.is_none() {
+            record.detected_cycle = Some(self.report.cycles);
             self.report.faults_detected += 1;
         }
         Ok(())
@@ -673,10 +597,10 @@ impl<'a> SimState<'a> {
     fn reject(&mut self, droplet: DropletId, idx: usize) -> Result<(), SimError> {
         self.droplets.remove(&droplet);
         self.storage.retain(|_, d| *d != droplet);
-        self.record(crate::TraceEvent::FaultDetected { droplet });
-        self.record(crate::TraceEvent::Discarded { droplet });
+        self.record(TraceEvent::FaultDetected { droplet });
+        self.record(TraceEvent::Discarded { droplet });
         self.report.discarded += 1;
-        self.mark_lost(droplet, idx)?;
+        self.fault.lost.insert(droplet, idx);
         self.detect(idx)
     }
 
@@ -686,26 +610,23 @@ impl<'a> SimState<'a> {
     /// — a droplet the plan expects but the chip no longer carries — is
     /// marked detected.
     fn sensor_checkpoint(&mut self) -> Result<(), SimError> {
-        let Some(ctx) = self.fault.as_ref() else {
-            return Ok(());
-        };
+        let tainted = &self.fault.tainted;
         let mut bad: Vec<(DropletId, usize)> =
-            self.droplets.keys().filter_map(|d| ctx.tainted.get(d).map(|&idx| (*d, idx))).collect();
+            self.droplets.keys().filter_map(|d| tainted.get(d).map(|&idx| (*d, idx))).collect();
         bad.sort_unstable_by_key(|(d, _)| d.0);
         for (droplet, idx) in bad {
             self.reject(droplet, idx)?;
         }
-        let latent: Vec<(usize, DropletId)> = {
-            let ctx = self.fault_ctx()?;
-            ctx.records
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| r.detected_cycle.is_none())
-                .map(|(idx, r)| (idx, r.droplet))
-                .collect()
-        };
+        let latent: Vec<(usize, DropletId)> = self
+            .fault
+            .records
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| r.detected_cycle.is_none())
+            .map(|(idx, r)| (idx, r.droplet))
+            .collect();
         for (idx, droplet) in latent {
-            self.record(crate::TraceEvent::FaultDetected { droplet });
+            self.record(TraceEvent::FaultDetected { droplet });
             self.detect(idx)?;
         }
         Ok(())
@@ -717,30 +638,22 @@ impl<'a> SimState<'a> {
         // between ports. (Module interiors are shielded, so crossing a
         // footprint corner is harmless in this abstraction.) Electrodes
         // diagnosed dead on the chip are never routed across.
-        let mut grid = Grid::new(self.chip.width(), self.chip.height());
-        for cell in self.chip.dead_cells() {
-            grid.block(cell);
-        }
         let mut avoid: HashSet<Coord> = HashSet::new();
-        let in_module = |c: Coord| self.chip.modules().iter().any(|m| m.rect().contains(c));
-        let in_mixer = |c: Coord| self.chip.mixers().any(|m| m.rect().contains(c));
-        for (_, at) in self.parked_guard(moving) {
-            if at == to && !in_mixer(to) {
+        for (_, at) in self.parked(moving) {
+            if at == to && !self.in_mixer(to) {
                 // The destination cell is taken and it is not a mixer
                 // rendezvous: unroutable.
                 return None;
             }
-            if in_module(at) {
+            if self.in_module(at) {
                 // Only the occupied cell itself is off-limits (and a mixer
                 // rendezvous cell not even that).
-                if !(in_mixer(at) && at == to) {
+                if !(self.in_mixer(at) && at == to) {
                     avoid.insert(at);
                 }
             } else {
                 avoid.insert(at);
-                for n in at.all_neighbors() {
-                    avoid.insert(n);
-                }
+                avoid.extend(at.all_neighbors());
             }
         }
         if let Some(pins) = self.pins {
@@ -748,12 +661,8 @@ impl<'a> SimState<'a> {
             // inside an unshielded parked droplet's exclusion zone is as
             // good as blocked: steer ad-hoc routes around it so the
             // transport's pin-hazard gate never trips on our own paths.
-            let guarded: Vec<Coord> = self
-                .parked_guard(moving)
-                .into_iter()
-                .map(|(_, at)| at)
-                .filter(|&at| !in_module(at))
-                .collect();
+            let guarded: Vec<Coord> =
+                self.parked(moving).map(|(_, at)| at).filter(|&at| !self.in_module(at)).collect();
             if !guarded.is_empty() {
                 for y in 0..self.chip.height() {
                     for x in 0..self.chip.width() {
@@ -765,7 +674,7 @@ impl<'a> SimState<'a> {
                 }
             }
         }
-        shortest_path(&grid, from, to, &avoid)
+        shortest_path(&self.grid, from, to, &avoid)
     }
 }
 
@@ -862,6 +771,65 @@ mod tests {
         });
         let err2 = Simulator::new(&chip).allow_leftovers().run(&p2).unwrap_err();
         assert!(matches!(err2, SimError::Misplaced { .. }));
+    }
+
+    #[test]
+    fn mix_split_rejects_aliased_ids() {
+        let chip = pcr_chip();
+        let (r1, r7, m1, w1, o1) = ids(&chip);
+        let mix = |a, b, out_a, out_b| Instruction::MixSplit {
+            mixer: m1,
+            a: DropletId(a),
+            b: DropletId(b),
+            out_a: DropletId(out_a),
+            out_b: DropletId(out_b),
+        };
+        // One droplet cannot feed both inputs...
+        let mut p = ChipProgram::new();
+        p.push(Instruction::Dispense { reservoir: r1, droplet: DropletId(0) });
+        p.push(Instruction::TransportTo { droplet: DropletId(0), module: m1 });
+        p.push(mix(0, 0, 1, 2));
+        p.push(Instruction::TransportTo { droplet: DropletId(1), module: o1 });
+        p.push(Instruction::Emit { droplet: DropletId(1), output: o1 });
+        p.push(Instruction::TransportTo { droplet: DropletId(2), module: w1 });
+        p.push(Instruction::Discard { droplet: DropletId(2), waste: w1 });
+        let err = Simulator::new(&chip).run(&p).unwrap_err();
+        assert_eq!(err, SimError::DuplicateDroplet { droplet: DropletId(0) });
+        // ...and the two halves cannot share an id.
+        let mut p = ChipProgram::new();
+        p.push(Instruction::Dispense { reservoir: r1, droplet: DropletId(0) });
+        p.push(Instruction::TransportTo { droplet: DropletId(0), module: m1 });
+        p.push(Instruction::Dispense { reservoir: r7, droplet: DropletId(1) });
+        p.push(Instruction::TransportTo { droplet: DropletId(1), module: m1 });
+        p.push(mix(0, 1, 2, 2));
+        p.push(Instruction::TransportTo { droplet: DropletId(2), module: o1 });
+        p.push(Instruction::Emit { droplet: DropletId(2), output: o1 });
+        let err = Simulator::new(&chip).run(&p).unwrap_err();
+        assert_eq!(err, SimError::DuplicateDroplet { droplet: DropletId(2) });
+    }
+
+    #[test]
+    fn stored_droplet_leaves_only_through_fetch() {
+        let chip = pcr_chip();
+        let (r1, _, _, w1, _) = ids(&chip);
+        let q1 = chip.storage_cells().next().unwrap().id();
+        let port = chip.module(q1).port();
+        let mut p = ChipProgram::new();
+        p.push(Instruction::Dispense { reservoir: r1, droplet: DropletId(0) });
+        p.push(Instruction::TransportTo { droplet: DropletId(0), module: q1 });
+        p.push(Instruction::Store { droplet: DropletId(0), cell: q1 });
+        let mut routed = p.clone();
+        routed.push(Instruction::TransportTo { droplet: DropletId(0), module: w1 });
+        routed.push(Instruction::Discard { droplet: DropletId(0), waste: w1 });
+        let err = Simulator::new(&chip).run(&routed).unwrap_err();
+        assert_eq!(err, SimError::StorageBusy { cell: q1 });
+        // An explicit path is refused the same way, at the move itself.
+        p.push(Instruction::Transport {
+            droplet: DropletId(0),
+            path: vec![port, Coord::new(port.x, port.y + 1)],
+        });
+        let err = Simulator::new(&chip).allow_leftovers().run(&p).unwrap_err();
+        assert_eq!(err, SimError::StorageBusy { cell: q1 });
     }
 
     #[test]

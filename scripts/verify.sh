@@ -22,6 +22,16 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 echo "==> fault_sweep smoke (fixed seed, all five protocols must meet demand)"
 cargo run --release -q -p dmf-bench --bin fault_sweep -- --seed 42 --fault-rate 0.05 --trials 1 >/dev/null
 
+echo "==> simulator golden gate (plain, traced, multi-pass, pinned and fault-injected runs byte-identical to results/sim_golden.txt)"
+{
+  target/release/dmfstream simulate 2:1:1:1:1:1:9 --demand 20 --trace 2>&1
+  target/release/dmfstream simulate 2:1:1:1:1:1:9 --demand 20 --storage 3 2>&1
+  target/release/dmfstream fault 2:1:1:1:1:1:9 --demand 20 --seed 42 --fault-rate 0.05 \
+    --backend row-column --trace 2>&1
+  target/release/fault_sweep --seed 42 --fault-rate 0.05 --trials 1 2>&1
+} > /tmp/dmf_sim_golden.txt
+diff results/sim_golden.txt /tmp/dmf_sim_golden.txt
+
 echo "==> dmfstream check --all-protocols (static verifier, exit 1 on any error)"
 cargo run --release -q --bin dmfstream -- check --all-protocols
 

@@ -220,175 +220,138 @@ fn parse_args() -> Result<Args, String> {
         }
         _ => None,
     };
-    let mut all_protocols = false;
-    let mut report: Option<PathBuf> = None;
-    let mut demand = 32u64;
-    let mut config = EngineConfig::default();
-    let mut fault = FaultConfig::default();
-    let mut policy = RecoveryPolicy::default();
-    let mut backend: Option<BackendKind> = None;
-    let mut trace = false;
-    let mut metrics: Option<PathBuf> = None;
-    let mut jobs: Option<NonZeroUsize> = None;
-    let mut no_cache = false;
-    let mut cache_shards: Option<NonZeroUsize> = None;
-    let mut serve = ServeConfig::default();
-    let mut deadline_ms: Option<u64> = None;
-    let mut connect: Option<String> = None;
-    let mut op = String::from("plan");
-    let mut folded: Option<PathBuf> = None;
-    let mut chrome: Option<PathBuf> = None;
-    let mut deep = false;
-    let mut deny = dmfstream::check::Severity::Error;
-    let mut explain: Option<String> = None;
-    let mut json: Option<PathBuf> = None;
-    let mut list_algorithms = false;
-    let mut list_schedulers = false;
+    let mut args = Args {
+        command,
+        ratio,
+        all_protocols: false,
+        demand: 32,
+        config: EngineConfig::default(),
+        fault: FaultConfig::default(),
+        policy: RecoveryPolicy::default(),
+        backend: None,
+        trace: false,
+        metrics: None,
+        report: None,
+        jobs: None,
+        no_cache: false,
+        cache_shards: None,
+        serve: ServeConfig::default(),
+        deadline_ms: None,
+        connect: None,
+        op: String::from("plan"),
+        folded: None,
+        chrome: None,
+        deep: false,
+        deny: dmfstream::check::Severity::Error,
+        explain: None,
+        json: None,
+        list_algorithms: false,
+        list_schedulers: false,
+    };
     while let Some(flag) = argv.next() {
         if !allowed.iter().any(|group| group.contains(&flag.as_str())) {
             return Err(format!(
-                "unknown flag {flag:?} for {command:?}; valid flags: {}",
+                "unknown flag {flag:?} for {:?}; valid flags: {}",
+                args.command,
                 allowed.concat().join(", ")
             ));
         }
         let mut value = || argv.next().ok_or(format!("{flag} needs a value"));
         match flag.as_str() {
-            "--trace" => trace = true,
-            "--all-protocols" => all_protocols = true,
-            "--report" => report = Some(PathBuf::from(value()?)),
-            "--seed" => {
-                fault = fault.with_seed(value()?.parse().map_err(|e| format!("bad seed: {e}"))?)
-            }
+            "--trace" => args.trace = true,
+            "--all-protocols" => args.all_protocols = true,
+            "--report" => args.report = Some(PathBuf::from(value()?)),
+            "--seed" => args.fault = args.fault.with_seed(parse(value()?, "seed")?),
             "--fault-rate" => {
-                fault = fault
-                    .with_fault_rate(value()?.parse().map_err(|e| format!("bad fault rate: {e}"))?)
+                args.fault = args.fault.with_fault_rate(parse(value()?, "fault rate")?)
             }
             "--sensor-period" => {
-                fault = fault.with_sensor_period(
-                    value()?.parse().map_err(|e| format!("bad sensor period: {e}"))?,
-                )
+                args.fault = args.fault.with_sensor_period(parse(value()?, "sensor period")?)
             }
             "--max-replans" => {
-                policy = policy.with_max_replans(
-                    value()?.parse().map_err(|e| format!("bad replan budget: {e}"))?,
-                )
+                args.policy = args.policy.with_max_replans(parse(value()?, "replan budget")?)
             }
-            "--backend" => {
-                backend = Some(value()?.parse().map_err(|e| format!("bad backend: {e}"))?)
-            }
-            "--metrics" => metrics = Some(PathBuf::from(value()?)),
+            "--backend" => args.backend = Some(parse(value()?, "backend")?),
+            "--metrics" => args.metrics = Some(PathBuf::from(value()?)),
             "--jobs" => {
                 let raw = value()?;
-                jobs = Some(raw.parse::<NonZeroUsize>().map_err(|_| {
+                args.jobs = Some(raw.parse::<NonZeroUsize>().map_err(|_| {
                     format!("--jobs must be a positive integer (worker threads), got {raw:?}")
                 })?)
             }
-            "--no-cache" => no_cache = true,
+            "--no-cache" => args.no_cache = true,
             "--cache-shards" => {
                 let raw = value()?;
                 let shards = raw.parse::<NonZeroUsize>().map_err(|_| {
                     format!("--cache-shards must be a positive integer (cache shards), got {raw:?}")
                 })?;
-                cache_shards = Some(shards);
-                serve.cache_shards = shards.get();
+                args.cache_shards = Some(shards);
+                args.serve.cache_shards = shards.get();
             }
-            "--addr" => serve.addr = value()?,
+            "--addr" => args.serve.addr = value()?,
             "--port" => {
-                let port: u16 = value()?.parse().map_err(|e| format!("bad port: {e}"))?;
-                serve.addr = format!("127.0.0.1:{port}");
+                let port: u16 = parse(value()?, "port")?;
+                args.serve.addr = format!("127.0.0.1:{port}");
             }
-            "--workers" => {
-                serve.workers = value()?.parse().map_err(|e| format!("bad workers: {e}"))?
-            }
-            "--queue-depth" => {
-                serve.queue_depth = value()?.parse().map_err(|e| format!("bad queue depth: {e}"))?
-            }
-            "--cache-capacity" => {
-                serve.cache_capacity =
-                    value()?.parse().map_err(|e| format!("bad cache capacity: {e}"))?
-            }
+            "--workers" => args.serve.workers = parse(value()?, "workers")?,
+            "--queue-depth" => args.serve.queue_depth = parse(value()?, "queue depth")?,
+            "--cache-capacity" => args.serve.cache_capacity = parse(value()?, "cache capacity")?,
             "--deadline-ms" => {
-                let ms: u64 = value()?.parse().map_err(|e| format!("bad deadline: {e}"))?;
-                serve.default_deadline_ms = ms;
-                deadline_ms = Some(ms);
+                let ms = parse(value()?, "deadline")?;
+                args.serve.default_deadline_ms = ms;
+                args.deadline_ms = Some(ms);
             }
-            "--slow-ms" => {
-                serve.slow_ms =
-                    Some(value()?.parse().map_err(|e| format!("bad slow threshold: {e}"))?)
-            }
-            "--folded" => folded = Some(PathBuf::from(value()?)),
-            "--chrome" => chrome = Some(PathBuf::from(value()?)),
-            "--deep" => deep = true,
+            "--slow-ms" => args.serve.slow_ms = Some(parse(value()?, "slow threshold")?),
+            "--folded" => args.folded = Some(PathBuf::from(value()?)),
+            "--chrome" => args.chrome = Some(PathBuf::from(value()?)),
+            "--deep" => args.deep = true,
             "--deny" => {
-                deny = match value()?.to_lowercase().as_str() {
+                args.deny = match value()?.to_lowercase().as_str() {
                     "warn" | "warning" => dmfstream::check::Severity::Warning,
                     "error" => dmfstream::check::Severity::Error,
                     other => return Err(format!("--deny expects warn or error, got {other:?}")),
                 }
             }
-            "--explain" => explain = Some(value()?),
-            "--json" => json = Some(PathBuf::from(value()?)),
-            "--connect" => connect = Some(value()?),
-            "--op" => op = value()?,
-            "--demand" => demand = value()?.parse().map_err(|e| format!("bad demand: {e}"))?,
-            "--mixers" => {
-                config =
-                    config.with_mixers(value()?.parse().map_err(|e| format!("bad mixers: {e}"))?)
-            }
+            "--explain" => args.explain = Some(value()?),
+            "--json" => args.json = Some(PathBuf::from(value()?)),
+            "--connect" => args.connect = Some(value()?),
+            "--op" => args.op = value()?,
+            "--demand" => args.demand = parse(value()?, "demand")?,
+            "--mixers" => args.config = args.config.with_mixers(parse(value()?, "mixers")?),
             "--storage" => {
-                config = config
-                    .with_storage_limit(value()?.parse().map_err(|e| format!("bad storage: {e}"))?)
+                args.config = args.config.with_storage_limit(parse(value()?, "storage")?)
             }
             "--algorithm" | "--algo" => {
                 let name = value()?;
                 let id = ALGORITHMS.resolve(&name).map_err(|e| {
                     format!("{e}; run `dmfstream plan --list-algorithms` for descriptions")
                 })?;
-                config = config.with_algorithm(id);
+                args.config = args.config.with_algorithm(id);
             }
             "--scheduler" => {
                 let name = value()?;
                 let id = SCHEDULERS.resolve(&name).map_err(|e| {
                     format!("{e}; run `dmfstream plan --list-schedulers` for descriptions")
                 })?;
-                config = config.with_scheduler(id);
+                args.config = args.config.with_scheduler(id);
             }
-            "--list-algorithms" => list_algorithms = true,
-            "--list-schedulers" => list_schedulers = true,
+            "--list-algorithms" => args.list_algorithms = true,
+            "--list-schedulers" => args.list_schedulers = true,
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
-    if metrics.is_none() && std::env::var_os("DMF_OBS").is_some_and(|v| v != "0") {
-        metrics = Some(PathBuf::from("results/obs/dmfstream.jsonl"));
+    if args.metrics.is_none() && std::env::var_os("DMF_OBS").is_some_and(|v| v != "0") {
+        args.metrics = Some(PathBuf::from("results/obs/dmfstream.jsonl"));
     }
-    Ok(Args {
-        command,
-        ratio,
-        all_protocols,
-        demand,
-        config,
-        fault,
-        policy,
-        backend,
-        trace,
-        metrics,
-        report,
-        jobs,
-        no_cache,
-        cache_shards,
-        serve,
-        deadline_ms,
-        connect,
-        op,
-        folded,
-        chrome,
-        deep,
-        deny,
-        explain,
-        json,
-        list_algorithms,
-        list_schedulers,
-    })
+    Ok(args)
+}
+
+/// Parses a flag value; a malformed one is reported as `bad {what}: …`.
+fn parse<T: std::str::FromStr>(raw: String, what: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    raw.parse().map_err(|e| format!("bad {what}: {e}"))
 }
 
 /// Prints the registered mixing algorithms and/or schedulers, one per

@@ -15,13 +15,17 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 use dmfstream::chip::presets::streaming_chip;
 use dmfstream::chip::{ChipSpec, Coord};
-use dmfstream::engine::{realize_pass, EngineConfig, PlanCache, RecoveryPolicy, StreamingEngine};
+use dmfstream::engine::{
+    realize_pass, EngineConfig, EngineError, PlanCache, RecoveryPolicy, StreamingEngine,
+};
 use dmfstream::fault::lineage::{droplet_mixtures, emitted_droplets};
 use dmfstream::fault::{
     run_campaign, Campaign, FaultConfig, FaultError, ResilientOutcome, WearTracker,
 };
+use dmfstream::pins::BackendKind;
 use dmfstream::ratio::{Mixture, TargetRatio};
-use dmfstream::sim::{InjectedFaults, Simulator, Trace};
+use dmfstream::sim::{ChipProgram, InjectedFaults, Simulator, Trace};
+use dmfstream::workloads::protocols;
 
 fn pcr_d4() -> TargetRatio {
     TargetRatio::new(vec![2, 1, 1, 1, 1, 1, 9]).expect("paper ratio")
@@ -91,26 +95,56 @@ fn recover_from(faults: InjectedFaults) -> u64 {
     first_emitted
 }
 
-#[test]
-fn zero_fault_run_is_byte_identical_to_baseline() {
-    let target = pcr_d4();
-    let plan = StreamingEngine::new(EngineConfig::default()).plan(&target, 20).unwrap();
-    let chip = streaming_chip(7, plan.mixers, plan.storage_peak.max(1)).unwrap();
-    let program = realize_pass(&plan.passes[0], &chip).unwrap();
-    let sim = Simulator::new(&chip);
-    let (baseline_report, baseline_trace) = sim.run_traced(&program).unwrap();
-
-    // An empty fault plan (even with sensor checkpoints armed) changes
-    // nothing observable.
+/// `run_faulty` under an empty plan (even with sensor checkpoints armed)
+/// must equal `run_traced`: same report, same trace, nothing lost.
+fn assert_zero_fault_identity(sim: &Simulator, program: &ChipProgram, case: &str) {
+    let (baseline_report, baseline_trace) = sim.run_traced(program).unwrap();
     for sensor_period in [0, 2] {
         let faults = InjectedFaults { sensor_period, ..Default::default() };
-        let outcome = sim.run_faulty(&program, &faults).unwrap();
-        assert_eq!(outcome.trace, baseline_trace, "zero-fault trace diverged");
-        assert_eq!(outcome.trace.render(), baseline_trace.render());
-        assert_eq!(outcome.report, baseline_report, "zero-fault report diverged");
-        assert!(outcome.faults.is_empty());
-        assert!(outcome.survivors.is_empty());
+        let outcome = sim.run_faulty(program, &faults).unwrap();
+        assert_eq!(outcome.trace, baseline_trace, "{case}: zero-fault trace diverged");
+        assert_eq!(outcome.report, baseline_report, "{case}: zero-fault report diverged");
+        assert!(outcome.faults.is_empty(), "{case}: phantom fault records");
+        assert!(outcome.survivors.is_empty(), "{case}: phantom survivors");
     }
+}
+
+#[test]
+fn zero_fault_run_is_byte_identical_to_baseline() {
+    // Every pass of every Table 2 protocol, single- and multi-pass.
+    // Ex.1 and Ex.3–Ex.5 cannot fit even a demand-2 pass into 3 storage
+    // cells, so they run multi-pass at the tightest budget accepted.
+    let plan_with = |ratio: &TargetRatio, demand: u64, storage: Option<usize>| {
+        let config = |q: Option<usize>| {
+            q.map_or(EngineConfig::default(), |q| EngineConfig::default().with_storage_limit(q))
+        };
+        match StreamingEngine::new(config(storage)).plan(ratio, demand) {
+            Err(EngineError::StorageInfeasible { needed, .. }) => {
+                StreamingEngine::new(config(Some(needed))).plan(ratio, demand).unwrap()
+            }
+            plan => plan.unwrap(),
+        }
+    };
+    for protocol in protocols::table2_examples() {
+        for demand in [20, 64] {
+            for storage in [None, Some(3)] {
+                let plan = plan_with(&protocol.ratio, demand, storage);
+                let fluids = protocol.ratio.fluid_count();
+                let chip = streaming_chip(fluids, plan.mixers, plan.storage_peak.max(1)).unwrap();
+                for (i, pass) in plan.passes.iter().enumerate() {
+                    let program = realize_pass(pass, &chip).unwrap();
+                    let case = format!("{} D={demand} q'={storage:?} pass {i}", protocol.id);
+                    assert_zero_fault_identity(&Simulator::new(&chip), &program, &case);
+                }
+            }
+        }
+    }
+    // And once under a shared-pin backend.
+    let plan = StreamingEngine::new(EngineConfig::default()).plan(&pcr_d4(), 20).unwrap();
+    let chip = streaming_chip(7, plan.mixers, plan.storage_peak.max(1)).unwrap();
+    let pins = BackendKind::RowColumn.assign(&chip).unwrap();
+    let program = realize_pass(&plan.passes[0], &chip).unwrap();
+    assert_zero_fault_identity(&Simulator::new(&chip).with_pins(&pins), &program, "row-column");
 }
 
 #[test]
