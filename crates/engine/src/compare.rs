@@ -75,7 +75,7 @@ impl fmt::Display for Improvement {
 mod tests {
     use super::*;
     use crate::{EngineConfig, StreamingEngine};
-    use dmf_mixalgo::{MINMIX, RMA};
+    use dmf_mixalgo::{dilution_ratio, BITSCAN, DMRW, MINMIX, RMA};
 
     #[test]
     fn streaming_beats_repeated_mm_on_pcr() {
@@ -100,5 +100,49 @@ mod tests {
         let rmm = repeated(MINMIX, &target, 32, 3).unwrap();
         let rrma = repeated(RMA, &target, 32, 3).unwrap();
         assert!(rrma.total_inputs > rmm.total_inputs);
+    }
+
+    #[test]
+    fn dilution_streams_through_the_one_engine() {
+        // The dilution engine (Roy et al., IET-CDT 2013) is MDST with N = 2:
+        // 16 droplets of CF 5/16 on 2 mixers, per dilution algorithm.
+        let target = dilution_ratio(5, 4).unwrap();
+        let engine = |algorithm, mixers| {
+            StreamingEngine::new(
+                EngineConfig::default().with_algorithm(algorithm).with_mixers(mixers),
+            )
+        };
+        for (algorithm, row) in [
+            (BITSCAN, [15, 16, 0, 8, 40, 32]),
+            (DMRW, [23, 16, 0, 13, 24, 32]),
+            (MINMIX, [15, 16, 0, 8, 40, 32]),
+        ] {
+            let plan = engine(algorithm, 2).plan(&target, 16).unwrap();
+            let base = repeated(algorithm, &target, 16, 2).unwrap();
+            let got = [
+                plan.total_mix_splits,
+                plan.total_inputs,
+                plan.total_waste,
+                plan.total_cycles,
+                base.total_inputs,
+                base.total_cycles,
+            ];
+            assert_eq!(got, row, "{algorithm}: Tms/I/W/Tc/I_rep/Tc_rep");
+            assert!(plan.total_inputs <= base.total_inputs, "{algorithm}");
+            assert!(plan.total_cycles <= base.total_cycles, "{algorithm}");
+        }
+
+        // Droplet conservation for the subgraph-sharing DMRW: I = targets + W.
+        let plan = engine(DMRW, 3).plan(&dilution_ratio(7, 5).unwrap(), 20).unwrap();
+        let targets: u64 = plan.passes.iter().map(|p| p.forest.stats().targets() as u64).sum();
+        assert!(targets >= 20);
+        assert_eq!(plan.total_inputs, targets + plan.total_waste);
+
+        // Pure buffer, pure sample and an out-of-range CF are not mixable.
+        for k in [0, 16, 17] {
+            let planned =
+                dilution_ratio(k, 4).ok().and_then(|t| engine(BITSCAN, 1).plan(&t, 8).ok());
+            assert!(planned.is_none(), "k={k}");
+        }
     }
 }

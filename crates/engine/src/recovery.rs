@@ -17,17 +17,15 @@ use dmf_ratio::TargetRatio;
 /// Retry/backoff policy for the recovery loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryPolicy {
-    /// Maximum re-synthesis attempts before the runner falls back to
-    /// [`RecoveryPolicy::restart_on_exhaustion`] (or gives up).
+    /// Maximum re-synthesis attempts before the runner aborts the queued
+    /// passes once and restarts planning for the remaining demand from
+    /// scratch (after that single restart it gives up).
     pub max_replans: u32,
-    /// After exhausting `max_replans`, abort the queued passes once and
-    /// restart planning for the remaining demand from scratch.
-    pub restart_on_exhaustion: bool,
 }
 
 impl Default for RecoveryPolicy {
     fn default() -> Self {
-        RecoveryPolicy { max_replans: 8, restart_on_exhaustion: true }
+        RecoveryPolicy { max_replans: 8 }
     }
 }
 
@@ -36,13 +34,6 @@ impl RecoveryPolicy {
     #[must_use]
     pub fn with_max_replans(mut self, max_replans: u32) -> Self {
         self.max_replans = max_replans;
-        self
-    }
-
-    /// Enables or disables the abort-and-restart fallback.
-    #[must_use]
-    pub fn with_restart(mut self, restart: bool) -> Self {
-        self.restart_on_exhaustion = restart;
         self
     }
 }

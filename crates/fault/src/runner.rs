@@ -93,7 +93,7 @@ pub struct Campaign {
     pub engine: EngineConfig,
     /// Fault model knobs (rate, weights, seed, wear degradation).
     pub faults: FaultConfig,
-    /// Recovery budget and restart policy.
+    /// Recovery budget: re-synthesis rounds before the one restart.
     pub policy: RecoveryPolicy,
     /// Pin backend the chip is wired with. A stuck electrode takes its
     /// whole pin group out of service (the shared pin can no longer be
@@ -262,7 +262,7 @@ pub fn run_campaign(
         let Some(pass) = queue.pop_front() else {
             // Queue drained with the demand unmet: a replan round was
             // denied by the budget, or salvage credit fell short.
-            if policy.restart_on_exhaustion && restarts == 0 {
+            if restarts == 0 {
                 restarts += 1;
                 replans = 0;
                 let r = recovery_engine.plan_recovery(target, demand - (emitted + salvaged), 0)?;

@@ -16,6 +16,11 @@
 //! * [`Rsm`] (Hsieh et al. TCAD 2012) — reagent-saving mixing: common-
 //!   subgraph sharing applied to the top-down partition tree.
 //!
+//! For two-fluid dilution, [`dilution_ratio`] turns a concentration factor
+//! into a plain target, and two dilution-only constructions are provided
+//! as ids outside the [`ALGORITHMS`] seed: [`BITSCAN`] (the binary-scan
+//! chain) and [`DMRW`] (interval bisection with shared boundaries).
+//!
 //! `RMA`, `MTCS` and `RSM` have no public reference implementations; they are
 //! reimplemented here from their published descriptions (see `DESIGN.md` §5
 //! for the fidelity argument). All four satisfy the contract checked by
@@ -64,7 +69,7 @@ mod rsm;
 mod template;
 
 pub use capabilities::Capabilities;
-pub use dilution::dilution_ratio;
+pub use dilution::{dilution_ratio, BitScan, Dmrw, DMRW_MAX_ACCURACY};
 pub use error::MixAlgoError;
 pub use minmix::MinMix;
 pub use mtcs::Mtcs;
@@ -132,6 +137,10 @@ pub const RMA: AlgorithmId = Id::new("rma", "RMA", &Rma);
 pub const MTCS: AlgorithmId = Id::new("mtcs", "MTCS", &Mtcs);
 /// RSM (`"rsm"`).
 pub const RSM: AlgorithmId = Id::new("rsm", "RSM", &Rsm);
+/// BitScan (`"bs"`), dilution only; not in the [`ALGORITHMS`] seed.
+pub const BITSCAN: AlgorithmId = Id::new("bs", "BS", &BitScan);
+/// DMRW (`"dmrw"`), dilution only; not in the [`ALGORITHMS`] seed.
+pub const DMRW: AlgorithmId = Id::new("dmrw", "DMRW", &Dmrw);
 
 /// The process-wide mixing-algorithm registry, seeded with the paper's
 /// four baselines in citation order. New planners join with

@@ -137,27 +137,14 @@ impl GraphBuilder {
         self.finish_with_targets(targets)
     }
 
-    /// Finalises a *multi-target* graph: component tree `i` must realise
-    /// `targets[i]`. This is the SDMT generalisation (one droplet pair per
-    /// target over several targets) that the dilution-gradient literature
-    /// needs; single-target callers should use [`GraphBuilder::finish`].
+    /// Finalises a graph whose component tree `i` must realise
+    /// `targets[i]` — the core of [`GraphBuilder::finish`], and the
+    /// finalizer of multi-target forests (one target per tree).
     ///
     /// # Errors
     ///
     /// As [`GraphBuilder::finish`]; additionally [`GraphError::NoTrees`]
     /// when `targets.len()` differs from the number of finished trees.
-    pub fn finish_multi(self, targets: &[TargetRatio]) -> Result<MixGraph, GraphError> {
-        self.finish_with_targets(targets.iter().map(TargetRatio::to_mixture).collect())
-    }
-
-    /// Finalises against already-canonicalised target mixtures, one per
-    /// finished tree — the allocation-free core of [`GraphBuilder::finish`]
-    /// / [`GraphBuilder::finish_multi`] for callers that hold [`Mixture`]s
-    /// rather than [`TargetRatio`]s.
-    ///
-    /// # Errors
-    ///
-    /// As [`GraphBuilder::finish_multi`].
     pub fn finish_with_targets(self, targets: Vec<Mixture>) -> Result<MixGraph, GraphError> {
         if self.roots.is_empty() || targets.len() != self.roots.len() {
             return Err(GraphError::NoTrees);

@@ -1,4 +1,4 @@
-use crate::{Grid, RouteError};
+use crate::Grid;
 use dmf_chip::Coord;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 
@@ -69,36 +69,6 @@ pub fn shortest_path(
         }
     }
     None
-}
-
-/// Like [`shortest_path`], but a boxed-in droplet yields a typed
-/// [`RouteError::NoRoute`] instead of `None`, so callers can report or
-/// recover from the failure rather than asserting.
-///
-/// # Errors
-///
-/// Returns [`RouteError::NoRoute`] when no path exists between the
-/// endpoints — including when either endpoint lies outside the grid.
-///
-/// # Examples
-///
-/// ```
-/// use dmf_chip::Coord;
-/// use dmf_route::{try_shortest_path, Grid, RouteError};
-///
-/// let mut grid = Grid::new(3, 1);
-/// grid.block(Coord::new(1, 0));
-/// let err = try_shortest_path(&grid, Coord::new(0, 0), Coord::new(2, 0), &Default::default())
-///     .unwrap_err();
-/// assert!(matches!(err, RouteError::NoRoute { .. }));
-/// ```
-pub fn try_shortest_path(
-    grid: &Grid,
-    from: Coord,
-    to: Coord,
-    avoid: &HashSet<Coord>,
-) -> Result<Vec<Coord>, RouteError> {
-    shortest_path(grid, from, to, avoid).ok_or(RouteError::NoRoute { from, to })
 }
 
 /// Number of electrode actuations a path needs: one per hop onto a new

@@ -15,14 +15,6 @@ pub enum RouteError {
         /// Destination electrode.
         to: Coord,
     },
-    /// A single droplet is boxed in: no path exists between the endpoints
-    /// on the given grid (blocked cells, dead electrodes or avoid set).
-    NoRoute {
-        /// Source electrode.
-        from: Coord,
-        /// Destination electrode.
-        to: Coord,
-    },
     /// A timed path with no positions was supplied — a droplet must occupy
     /// at least its source electrode (see [`crate::TimedPath::new`]).
     EmptyPath,
@@ -33,9 +25,6 @@ impl fmt::Display for RouteError {
         match self {
             RouteError::Unroutable { index, from, to } => {
                 write!(f, "droplet {index} cannot be routed from {from} to {to}")
-            }
-            RouteError::NoRoute { from, to } => {
-                write!(f, "no route exists from {from} to {to}")
             }
             RouteError::EmptyPath => {
                 write!(f, "a timed path must contain at least its source electrode")

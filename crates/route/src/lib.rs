@@ -38,7 +38,7 @@ mod concurrent;
 mod error;
 mod grid;
 
-pub use astar::{actuations, shortest_path, try_shortest_path};
+pub use astar::{actuations, shortest_path};
 pub use concurrent::{
     route_concurrent, route_concurrent_pinned, search_horizon, RouteRequest, TimedPath,
 };

@@ -283,9 +283,9 @@ pub fn plan_response_traced(
     out
 }
 
-/// A typed error response; `code` is one of `bad_request`, `infeasible`,
-/// `unknown_algo`, `busy`, `deadline`, `plan_failed`, `shutting_down` or
-/// `internal`.
+/// A typed error response; `code` is one of `bad_request`, `too_large`,
+/// `infeasible`, `unknown_algo`, `busy`, `deadline`, `plan_failed`,
+/// `shutting_down` or `internal`.
 pub fn error_response(code: &str, message: &str) -> String {
     format!(
         "{{\"ok\":false,\"error\":\"{}\",\"message\":\"{}\"}}",

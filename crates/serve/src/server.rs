@@ -18,7 +18,7 @@ use crate::queue::{BoundedQueue, PushError};
 use dmf_engine::{PlanCache, PlanKey, StreamingEngine, DEFAULT_PLAN_CACHE_CAPACITY};
 use dmf_obs::Recorder;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -28,6 +28,16 @@ const POLL_INTERVAL: Duration = Duration::from_millis(25);
 
 /// Per-connection socket read timeout; bounds shutdown latency.
 const READ_TIMEOUT: Duration = Duration::from_millis(100);
+
+/// Longest request line a connection may send (1 MiB, newline excluded).
+/// A longer line is answered `too_large` and the connection is closed, so
+/// a peer that never sends `\n` costs bounded memory and CPU.
+const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// How long a connection refused for a too-long line keeps discarding
+/// input after its reply, so the peer reads `too_large` rather than a
+/// reset from closing a socket with unread data.
+const REFUSAL_LINGER: Duration = Duration::from_secs(1);
 
 /// Configuration of a [`Server`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -200,7 +210,9 @@ impl Server {
 
     /// Reads newline-delimited requests off one socket and writes one
     /// response line per request. Partial lines survive read timeouts —
-    /// the buffer is only consumed up to the last `\n`.
+    /// the buffer is only consumed up to the last `\n`, and each read
+    /// scans only its own bytes for one. A line longer than
+    /// [`MAX_LINE_BYTES`] is refused (`too_large`) and ends the connection.
     fn handle_connection(&self, mut stream: TcpStream, queue: &BoundedQueue<Job>) {
         if stream.set_read_timeout(Some(READ_TIMEOUT)).is_err() {
             return;
@@ -211,21 +223,33 @@ impl Server {
             match stream.read(&mut chunk) {
                 Ok(0) => break,
                 Ok(n) => {
+                    // Everything before `scanned` is known to hold no `\n`.
+                    let mut scanned = pending.len();
                     pending.extend_from_slice(&chunk[..n]);
-                    while let Some(pos) = pending.iter().position(|&b| b == b'\n') {
-                        let line_bytes: Vec<u8> = pending.drain(..=pos).collect();
-                        let line = String::from_utf8_lossy(&line_bytes);
-                        let line = line.trim();
-                        if line.is_empty() {
-                            continue;
+                    while let Some(offset) = pending[scanned..].iter().position(|&b| b == b'\n') {
+                        let end = scanned + offset;
+                        if end > MAX_LINE_BYTES {
+                            // Refused below: `pending` is longer than `end`.
+                            break;
                         }
-                        let (response, stop) = self.process_line(line, queue);
+                        let reply = {
+                            let line = String::from_utf8_lossy(&pending[..end]);
+                            let line = line.trim();
+                            (!line.is_empty()).then(|| self.process_line(line, queue))
+                        };
+                        pending.drain(..=end);
+                        scanned = 0;
+                        let Some((response, stop)) = reply else { continue };
                         if writeln!(stream, "{response}").and_then(|()| stream.flush()).is_err() {
                             break 'conn;
                         }
                         if stop {
                             break 'conn;
                         }
+                    }
+                    if pending.len() > MAX_LINE_BYTES {
+                        self.refuse_too_large(&mut stream, &mut chunk);
+                        break;
                     }
                 }
                 Err(e)
@@ -237,6 +261,36 @@ impl Server {
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => break,
+            }
+        }
+    }
+
+    /// Answers a too-long line with `too_large`, half-closes the socket
+    /// and discards whatever the peer still sends for at most
+    /// [`REFUSAL_LINGER`]; the caller then drops the connection.
+    fn refuse_too_large(&self, stream: &mut TcpStream, chunk: &mut [u8]) {
+        self.recorder.count("serve.too_large", 1);
+        let response = protocol::error_response(
+            "too_large",
+            &format!("request line longer than {MAX_LINE_BYTES} bytes; closing the connection"),
+        );
+        if writeln!(stream, "{response}").and_then(|()| stream.flush()).is_err() {
+            return;
+        }
+        let _ = stream.shutdown(Shutdown::Write);
+        let until = Instant::now() + REFUSAL_LINGER;
+        while Instant::now() < until && !self.shutting_down() {
+            match stream.read(chunk) {
+                Ok(0) => break,
+                Ok(_) => {}
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock
+                            | io::ErrorKind::TimedOut
+                            | io::ErrorKind::Interrupted
+                    ) => {}
                 Err(_) => break,
             }
         }
@@ -455,8 +509,8 @@ impl Server {
         format!(
             "{{\"ok\":true,\"type\":\"stats\",\
              \"requests\":{},\"connections\":{},\"planned\":{},\"plan_failed\":{},\
-             \"bad_request\":{},\"infeasible\":{},\"unknown_algo\":{},\"busy\":{},\
-             \"deadline\":{},\"slow\":{},\
+             \"bad_request\":{},\"too_large\":{},\"infeasible\":{},\"unknown_algo\":{},\
+             \"busy\":{},\"deadline\":{},\"slow\":{},\
              \"op_plan\":{},\"op_stats\":{},\"op_ping\":{},\"op_shutdown\":{},\"op_stall\":{},\
              \"enqueued\":{},\"dequeued\":{},\
              \"latency_count\":{latency_count},\"latency_mean_ns\":{latency_mean_ns},\
@@ -469,6 +523,7 @@ impl Server {
             counter("serve.planned"),
             counter("serve.plan_failed"),
             counter("serve.bad_request"),
+            counter("serve.too_large"),
             counter("serve.infeasible"),
             counter("serve.unknown_algo"),
             counter("serve.busy"),

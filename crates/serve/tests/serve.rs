@@ -6,6 +6,8 @@ use dmf_engine::{EngineConfig, PlanKey};
 use dmf_obs::json::{self, Json};
 use dmf_ratio::TargetRatio;
 use dmf_serve::{Client, ServeConfig, Server};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 const PCR: &str = "2:1:1:1:1:1:9";
@@ -132,6 +134,20 @@ fn a_deeply_nested_line_is_a_bad_request_and_the_server_keeps_serving() {
         assert_eq!(v.get("error").and_then(Json::as_str), Some("bad_request"), "{line}");
         assert!(line.contains("nesting too deep"), "{line}");
 
+        // 2 MiB without a newline passes the 1 MiB line cap: the server
+        // answers too_large and hangs up instead of buffering forever.
+        let mut raw = TcpStream::connect(addr).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        // The server may hang up before the last bytes are written.
+        let _ = raw.write_all(&vec![b'x'; 2 << 20]);
+        let mut reader = BufReader::new(raw);
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        let v = json::parse(line.trim_end()).unwrap();
+        assert_eq!(v.get("error").and_then(Json::as_str), Some("too_large"), "{line}");
+        let mut rest = Vec::new();
+        assert_eq!(reader.read_to_end(&mut rest).unwrap(), 0, "expected EOF after too_large");
+
         let mut client = Client::connect(addr).unwrap();
         let line =
             client.request(&format!(r#"{{"op":"plan","ratio":"{PCR}","demand":20}}"#)).unwrap();
@@ -141,6 +157,10 @@ fn a_deeply_nested_line_is_a_bad_request_and_the_server_keeps_serving() {
             Some("D=20 passes=1 Tc=11 Tms=27 W=5 I=25 q=5 (Mc=3)"),
             "{line}"
         );
+        let stats = client.request(r#"{"op":"stats"}"#).unwrap();
+        let v = json::parse(&stats).unwrap();
+        assert_eq!(v.get("too_large").and_then(Json::as_u64), Some(1), "{stats}");
+        assert_eq!(v.get("bad_request").and_then(Json::as_u64), Some(1), "{stats}");
     });
 }
 

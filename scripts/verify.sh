@@ -32,6 +32,12 @@ echo "==> simulator golden gate (plain, traced, multi-pass, pinned and fault-inj
 } > /tmp/dmf_sim_golden.txt
 diff results/sim_golden.txt /tmp/dmf_sim_golden.txt
 
+echo "==> examples golden gate (stdout of every example byte-identical to results/examples_golden.txt)"
+for example in quickstart pcr_master_mix storage_constrained chip_walkthrough dilution_engine; do
+  cargo run --release -q --example "$example"
+done > /tmp/dmf_examples_golden.txt
+diff results/examples_golden.txt /tmp/dmf_examples_golden.txt
+
 echo "==> dmfstream check --all-protocols (static verifier, exit 1 on any error)"
 cargo run --release -q --bin dmfstream -- check --all-protocols
 
@@ -258,10 +264,35 @@ printf '%s' "$hostile_reply" | grep -q '"error":"bad_request"' || {
   echo "serve smoke: deeply nested line was not answered bad_request: $hostile_reply"
   exit 1
 }
+# A 2 MiB line with no newline passes the 1 MiB line cap: it must be
+# answered too_large and then EOF. The server may hang up before the last
+# bytes are written, so the write is allowed to fail.
+exec 3<>"/dev/tcp/${serve_addr%:*}/${serve_addr##*:}"
+{ head -c 2097152 /dev/zero | tr '\0' 'x' >&3; } 2>/dev/null || true
+oversized_reply=""
+read -r -t 10 oversized_reply <&3 || true
+set +e
+read -r -t 5 _ <&3
+oversized_eof=$?
+set -e
+exec 3<&-
+printf '%s' "$oversized_reply" | grep -q '"error":"too_large"' || {
+  echo "serve smoke: unterminated 2 MiB line was not answered too_large: ${oversized_reply:0:200}"
+  exit 1
+}
+[ "$oversized_eof" -eq 1 ] || {
+  echo "serve smoke: connection stayed open after too_large (read status $oversized_eof)"
+  exit 1
+}
 served=$(target/release/dmfstream request 2:1:1:1:1:1:9 --demand 20 --connect "$serve_addr")
 served_summary=$(printf '%s' "$served" | sed -n 's/.*"summary":"\([^"]*\)".*/\1/p')
 [ "$served_summary" = "$plan_summary" ] || {
-  echo "serve smoke: after the hostile line, served summary '$served_summary' != plan output '$plan_summary'"
+  echo "serve smoke: after the hostile lines, served summary '$served_summary' != plan output '$plan_summary'"
+  exit 1
+}
+stats=$(target/release/dmfstream request --op stats --connect "$serve_addr")
+printf '%s' "$stats" | grep -q '"too_large":1' || {
+  echo "serve smoke: stats did not count the too_large refusal: $stats"
   exit 1
 }
 target/release/dmfstream request --op shutdown --connect "$serve_addr" >/dev/null

@@ -15,7 +15,7 @@
 //! |-------|-------|------------|
 //! | ratios | [`ratio`] | dyadic CF vectors, `2^d` grid approximation |
 //! | task graphs | [`mixgraph`] | arena mixing trees/forests, `Tms`/`W`/`I[]` stats |
-//! | base algorithms | [`mixalgo`] | MinMix, RMA, MTCS, RSM, dilution |
+//! | base algorithms | [`mixalgo`] | MinMix, RMA, MTCS, RSM; BitScan and DMRW for two-fluid dilution |
 //! | the contribution | [`forest`] | mixing-forest construction (paper §4.1) |
 //! | scheduling | [`sched`] | OMS/Hu, MMS (Alg. 1), SRS (Alg. 2), storage counting (Alg. 3), Gantt charts |
 //! | chip model | [`chip`] | electrode grids, modules, placement optimiser, Fig. 5 cost matrix |
@@ -122,11 +122,6 @@ pub mod fault {
 /// Evaluation workloads ([`dmf_workloads`]).
 pub mod workloads {
     pub use dmf_workloads::*;
-}
-
-/// Two-fluid dilution algorithms and engines ([`dmf_dilution`]).
-pub mod dilution {
-    pub use dmf_dilution::*;
 }
 
 /// Independent static verification of synthesis artifacts ([`dmf_check`]).
