@@ -5,7 +5,7 @@
 //! bench_backends out.json --demand 12 --seed 42
 //! ```
 //!
-//! Three sections, written as hand-rolled JSON:
+//! Three sections, written as JSON:
 //!
 //! 1. **Execution** — every [`dmf_pins::BackendKind`] runs the five Table 2
 //!    protocols fault-free under the pinned simulator: pin count versus
@@ -24,7 +24,11 @@
 //!    *blind* arm keeps the round-1 placement. Gate: the aware arm's peak
 //!    per-electrode actuation count is strictly below the blind arm's.
 //!
-//! Exits non-zero when any protocol misses its demand or a gate fails.
+//! Every figure is a seeded count, so a default-parameter run must also
+//! reproduce the committed `results/BENCH_backends.json` value for value;
+//! it reads that file before writing anything. Exits non-zero when any
+//! protocol misses its demand, a gate fails or a figure differs from the
+//! committed one.
 
 // Binary/example target: the workspace `unwrap_used`/`expect_used`/`panic`
 // deny wall applies to library code only (see Cargo.toml).
@@ -36,6 +40,8 @@ use dmf_chip::{
 };
 use dmf_engine::{realize_pass, EngineConfig, PlanCache, RecoveryPolicy, StreamingEngine};
 use dmf_fault::{run_campaign, Campaign, FaultConfig, WearTracker};
+use dmf_obs::json::{self, Json, Object};
+use dmf_obs::json_object;
 use dmf_obs::Table;
 use dmf_pins::{BackendKind, PinAssignment};
 use dmf_route::{route_concurrent, route_concurrent_pinned, Grid, RouteRequest};
@@ -43,6 +49,9 @@ use dmf_sim::Simulator;
 use dmf_workloads::protocols;
 use std::process::ExitCode;
 use std::sync::Arc;
+
+/// The committed exhibit a default-parameter run must reproduce.
+const BASELINE: &str = "results/BENCH_backends.json";
 
 struct Args {
     out_path: String,
@@ -53,15 +62,31 @@ struct Args {
     rounds: u64,
 }
 
+/// The path and values of the first member that differs between a fresh
+/// and a committed exhibit, e.g. `.backends[1].fault_sweep.met: 14 vs 15`.
+fn first_difference(fresh: &Json, committed: &Json, path: &str) -> Option<String> {
+    match (fresh, committed) {
+        (Json::Obj(a), Json::Obj(b)) => a.keys().chain(b.keys()).find_map(|k| {
+            let path = format!("{path}.{k}");
+            match (a.get(k), b.get(k)) {
+                (Some(x), Some(y)) => first_difference(x, y, &path),
+                _ => Some(format!("{path}: present on one side only")),
+            }
+        }),
+        (Json::Arr(a), Json::Arr(b)) if a.len() == b.len() => a
+            .iter()
+            .zip(b)
+            .enumerate()
+            .find_map(|(i, (x, y))| first_difference(x, y, &format!("{path}[{i}]"))),
+        _ => (fresh != committed).then(|| {
+            format!("{path}: fresh {} vs committed {}", json::write(fresh), json::write(committed))
+        }),
+    }
+}
+
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        out_path: "results/BENCH_backends.json".into(),
-        demand: 12,
-        seed: 42,
-        rate: 0.05,
-        trials: 3,
-        rounds: 4,
-    };
+    let mut args =
+        Args { out_path: BASELINE.into(), demand: 12, seed: 42, rate: 0.05, trials: 3, rounds: 4 };
     let mut argv = std::env::args().skip(1).peekable();
     if argv.peek().is_some_and(|a| !a.starts_with("--")) {
         args.out_path = argv.next().unwrap();
@@ -346,6 +371,10 @@ fn main() -> ExitCode {
          {} wear rounds, base seed {}\n",
         args.demand, args.trials, args.rate, args.rounds, args.seed
     );
+    // Read the baseline first: the default output path overwrites it. A
+    // missing one fails the run only after the fresh exhibit is written.
+    let default_run = !std::env::args().any(|a| a.starts_with("--"));
+    let baseline = default_run.then(|| dmf_bench::read_baseline(BASELINE));
     let cache = PlanCache::shared();
     let mut failed = false;
 
@@ -409,37 +438,20 @@ fn main() -> ExitCode {
             }
             Some(_) => {}
         }
-        let protocols_json: Vec<String> = rows
+        let protocols_json: Vec<Object> = rows
             .iter()
             .map(|r| {
-                format!(
-                    "      {{ \"id\": \"{}\", \"pins\": {}, \"electrodes\": {}, \"cycles\": {}, \
-                     \"actuations\": {}, \"ghost_actuations\": {}, \"emitted\": {}, \
-                     \"demand_met\": {}, \"route_makespan_concurrent\": {}, \
-                     \"route_makespan_serialized\": {} }}",
-                    r.id,
-                    r.pins,
-                    r.electrodes,
-                    r.cycles,
-                    r.actuations,
-                    r.ghosts,
-                    r.emitted,
-                    r.demand_met,
-                    r.concurrent_makespan.map_or("null".into(), |m| m.to_string()),
-                    r.serialized_makespan,
-                )
+                json_object!("id": &r.id, "pins": r.pins, "electrodes": r.electrodes,
+                    "cycles": r.cycles, "actuations": r.actuations, "ghost_actuations": r.ghosts,
+                    "emitted": r.emitted, "demand_met": r.demand_met,
+                    "route_makespan_concurrent": r.concurrent_makespan,
+                    "route_makespan_serialized": r.serialized_makespan)
             })
             .collect();
-        backend_sections.push(format!(
-            "    {{\n      \"backend\": \"{backend}\",\n      \"protocols\": [\n{}\n      ],\n      \
-             \"fault_sweep\": {{ \"rate\": {}, \"trials\": {}, \"met\": {}, \"dead_cells\": {} \
-             }}\n    }}",
-            protocols_json.join(",\n"),
-            args.rate,
-            sweep.trials,
-            sweep.met,
-            sweep.dead,
-        ));
+        let fault_sweep = json_object!("rate": args.rate, "trials": sweep.trials,
+            "met": sweep.met, "dead_cells": sweep.dead);
+        backend_sections.push(json_object!("backend": backend.to_string(),
+            "protocols": protocols_json, "fault_sweep": fault_sweep));
     }
     println!("{exec_table}");
     println!("\nFault sweep at rate {} ({} campaigns per backend):", args.rate, args.trials * 5);
@@ -464,29 +476,30 @@ fn main() -> ExitCode {
         failed = true;
     }
 
-    let json = format!(
-        "{{\n  \"suite\": \"backends\",\n  \"demand\": {},\n  \"seed\": {},\n  \"backends\": \
-         [\n{}\n  ],\n  \"wear_loop\": {{ \"rounds\": {}, \"blind_peak\": {}, \"aware_peak\": {}, \
-         \"blind_total\": {}, \"aware_total\": {} }}\n}}\n",
-        args.demand,
-        args.seed,
-        backend_sections.join(",\n"),
-        wear.rounds,
-        wear.blind_peak,
-        wear.aware_peak,
-        wear.blind_total,
-        wear.aware_total,
-    );
-    let path = std::path::Path::new(&args.out_path);
-    if let Some(parent) = path.parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("error: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
+    let wear_loop = json_object!("rounds": wear.rounds, "blind_peak": wear.blind_peak,
+        "aware_peak": wear.aware_peak, "blind_total": wear.blind_total,
+        "aware_total": wear.aware_total);
+    let exhibit = json_object!("suite": "backends", "demand": args.demand, "seed": args.seed,
+        "backends": backend_sections, "wear_loop": wear_loop);
+    match &baseline {
+        Some(Ok(committed)) => {
+            let fresh = json::parse(&json::write(&exhibit)).expect("the writer emits valid JSON");
+            if let Some(difference) = first_difference(&fresh, committed, "") {
+                eprintln!(
+                    "error: the fresh run differs from the committed {BASELINE} at {difference}"
+                );
+                failed = true;
+            }
         }
+        Some(Err(e)) => {
+            eprintln!("error: {e}");
+            failed = true;
+        }
+        None => println!("parameter flags given: not compared with the committed {BASELINE}"),
+    }
+    if let Err(e) = dmf_bench::write_exhibit(&args.out_path, exhibit) {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
     }
     if failed {
         eprintln!("\nerror: at least one backend gate failed");

@@ -4,14 +4,16 @@
 //! The disabled recorder must cost next to nothing (one relaxed atomic
 //! load per `span!` site) and the enabled recorder must stay cheap enough
 //! to leave on in production serving. Prints both wall times and writes
-//! the figures as hand-rolled JSON to `results/BENCH_obs.json` (override
-//! the path with the first argument). Exits non-zero if enabling tracing
+//! the figures as JSON to `results/BENCH_obs.json` (override the path
+//! with the first argument). Exits non-zero if enabling tracing
 //! slows the sweep by more than the gate.
 
 // Binary/example target: the workspace `unwrap_used`/`expect_used`/`panic`
 // deny wall applies to library code only (see Cargo.toml).
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 use dmf_engine::{EngineConfig, StreamingEngine};
+use dmf_obs::json::Fixed;
+use dmf_obs::json_object;
 use dmf_ratio::TargetRatio;
 use dmf_workloads::protocols;
 use std::process::ExitCode;
@@ -78,25 +80,13 @@ fn main() -> ExitCode {
         targets.len(),
     );
 
-    let json = format!(
-        "{{\n  \"suite\": \"obs\",\n  \"requests\": {},\n  \"rounds\": {ROUNDS},\n  \
-         \"tracing_off_wall_ns\": {disabled_ns},\n  \
-         \"tracing_on_wall_ns\": {enabled_ns},\n  \
-         \"overhead_pct\": {overhead_pct:.2},\n  \
-         \"spans_per_sweep\": {spans_per_sweep},\n  \
-         \"gate_max_overhead_pct\": {MAX_OVERHEAD_PCT:.1}\n}}\n",
-        targets.len(),
-    );
-    let path = std::path::Path::new(&out_path);
-    if let Some(parent) = path.parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("error: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
+    let exhibit = json_object!("suite": "obs", "requests": targets.len(), "rounds": ROUNDS,
+        "tracing_off_wall_ns": disabled_ns, "tracing_on_wall_ns": enabled_ns,
+        "overhead_pct": Fixed(overhead_pct, 2), "spans_per_sweep": spans_per_sweep,
+        "gate_max_overhead_pct": Fixed(MAX_OVERHEAD_PCT, 1));
+    if let Err(e) = dmf_bench::write_exhibit(&out_path, exhibit) {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
     }
     println!("tracing overhead: {overhead_pct:.2}% (gate: <= {MAX_OVERHEAD_PCT:.0}%)");
     if overhead_pct > MAX_OVERHEAD_PCT {

@@ -34,6 +34,7 @@ use dmf_chip::CostMatrix;
 use dmf_engine::{EngineConfig, MixerBudget, PassPlan, StreamPlan, StreamingEngine};
 use dmf_mixalgo::{AlgorithmId, Capabilities, MinMix, MixingAlgorithm, ALGORITHMS};
 use dmf_mixgraph::{NodeId, Operand};
+use dmf_obs::json::{self, Json, Object};
 use dmf_ratio::TargetRatio;
 use dmf_sched::{mixer_lower_bound, SchedulerId, SCHEDULERS};
 
@@ -259,6 +260,35 @@ pub fn export_obs(path: &std::path::Path) {
         Err(e) => eprintln!("error: cannot write metrics to {}: {e}", path.display()),
     }
     println!("\n{}", dmf_obs::MetricsReport::from_recorder(dmf_obs::global()));
+}
+
+/// Writes a `BENCH_*.json` exhibit to `path` as one JSON line, creating
+/// its directory, and prints `wrote <path>`.
+///
+/// # Errors
+///
+/// The write failure, naming the path.
+pub fn write_exhibit(path: &str, exhibit: Object) -> Result<(), String> {
+    let path = std::path::Path::new(path);
+    if let Some(parent) = path.parent() {
+        let _ = std::fs::create_dir_all(parent);
+    }
+    std::fs::write(path, exhibit.finish() + "\n")
+        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    println!("wrote {}", path.display());
+    Ok(())
+}
+
+/// Reads and parses the committed baseline exhibit at `path`, which a
+/// gate compares its fresh figures against.
+///
+/// # Errors
+///
+/// A missing, unreadable or malformed baseline, naming the path.
+pub fn read_baseline(path: &str) -> Result<Json, String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read the committed baseline {path}: {e}"))?;
+    json::parse(&text).map_err(|e| format!("committed baseline {path}: {e}"))
 }
 
 /// Builds the default streaming plan (used by several exhibits).

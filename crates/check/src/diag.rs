@@ -1,3 +1,5 @@
+use dmf_obs::json::{self, ToJson};
+use dmf_obs::json_object;
 use std::fmt;
 
 /// How bad a finding is.
@@ -504,16 +506,14 @@ impl Diagnostic {
     pub fn new(rule: RuleCode, location: Location, message: impl Into<String>) -> Self {
         Diagnostic { rule, severity: rule.severity(), location, message: message.into() }
     }
+}
 
-    /// One JSON object (single line, no trailing newline) for JSONL export.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"rule\":\"{}\",\"severity\":\"{}\",\"location\":\"{}\",\"message\":\"{}\"}}",
-            self.rule,
-            self.severity,
-            dmf_obs::json::escape(&self.location.to_string()),
-            dmf_obs::json::escape(&self.message)
-        )
+/// One JSON object, `{"rule":…,"severity":…,"location":…,"message":…}`.
+impl ToJson for Diagnostic {
+    fn write_json(&self, out: &mut String) {
+        json_object!("rule": self.rule.to_string(), "severity": self.severity.to_string(),
+            "location": self.location.to_string(), "message": &self.message)
+        .write_json(out);
     }
 }
 
@@ -603,7 +603,7 @@ impl CheckReport {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for d in &self.diagnostics {
-            out.push_str(&d.to_json());
+            out.push_str(&json::write(d));
             out.push('\n');
         }
         out

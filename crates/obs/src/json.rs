@@ -1,19 +1,29 @@
-//! Hand-rolled JSON primitives: string escaping for the JSONL writer and a
-//! minimal line parser for round-trip tests and downstream tooling.
+//! The workspace's one JSON layer: an ordered writer ([`Object`],
+//! [`json_object!`](crate::json_object), [`write()`]) for every emitter —
+//! JSONL and Chrome traces, serve responses, `check` findings,
+//! `BENCH_*.json` exhibits — and a minimal parser ([`parse`]) for
+//! requests, round-trip tests and baseline gates.
 //!
-//! Deliberately small: objects, arrays, strings, numbers, booleans and
-//! null — the subset the [`crate::Snapshot::write_jsonl`] schema emits.
-//! Integers up to `u64::MAX` parse losslessly into [`Json::Int`]; anything
-//! fractional or negative falls back to [`Json::Num`].
+//! The writer keeps object members in insertion order and escapes every
+//! string it writes, so no caller builds JSON text by hand. The parser
+//! reads objects, arrays, strings, numbers, booleans and null in time
+//! linear in the input, and bounds nesting at 128 levels. Integers up to
+//! `u64::MAX` parse losslessly into [`Json::Int`]; anything fractional or
+//! negative falls back to [`Json::Num`].
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Escapes a string for embedding in a JSON string literal (without the
 /// surrounding quotes): `"` and `\` are backslash-escaped, control
 /// characters use `\n`/`\r`/`\t` or `\u00XX`.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    escape_into(&mut out, s);
+    out
+}
+
+fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -22,12 +32,191 @@ pub fn escape(s: &str) -> String {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
     }
+}
+
+/// A value the writer can emit.
+pub trait ToJson {
+    /// Appends this value as JSON text to `out`.
+    fn write_json(&self, out: &mut String);
+}
+
+/// Renders one value as compact JSON text.
+pub fn write(value: &(impl ToJson + ?Sized)) -> String {
+    let mut out = String::new();
+    value.write_json(&mut out);
     out
+}
+
+/// A JSON object under construction; members keep insertion order. The
+/// [`json_object!`](crate::json_object) macro builds one from
+/// `"key": value` pairs.
+#[derive(Debug, Clone)]
+pub struct Object {
+    /// `{` and the members written so far.
+    text: String,
+}
+
+impl Default for Object {
+    fn default() -> Self {
+        Object { text: String::from("{") }
+    }
+}
+
+impl Object {
+    /// Appends member `key` (escaped) with `value`.
+    #[must_use]
+    pub fn field(mut self, key: &str, value: impl ToJson) -> Self {
+        if self.text.len() > 1 {
+            self.text.push(',');
+        }
+        key.write_json(&mut self.text);
+        self.text.push(':');
+        value.write_json(&mut self.text);
+        self
+    }
+
+    /// The finished object as JSON text.
+    pub fn finish(mut self) -> String {
+        self.text.push('}');
+        self.text
+    }
+}
+
+/// Builds a [`json::Object`](crate::json::Object) from `"key": value`
+/// pairs, in order; `json_object!(base; …)` appends them to `base`.
+///
+/// ```
+/// use dmf_obs::json_object;
+///
+/// let reply = json_object!("ok": true, "type": "stalled");
+/// let line = json_object!(reply; "ms": 3u64, "ids": vec![1u64, 2]).finish();
+/// assert_eq!(line, r#"{"ok":true,"type":"stalled","ms":3,"ids":[1,2]}"#);
+/// ```
+#[macro_export]
+macro_rules! json_object {
+    ($($key:literal : $value:expr),* $(,)?) => {
+        $crate::json_object!($crate::json::Object::default(); $($key: $value),*)
+    };
+    ($base:expr; $($key:literal : $value:expr),* $(,)?) => {
+        $base$(.field($key, $value))*
+    };
+}
+
+impl ToJson for Object {
+    fn write_json(&self, out: &mut String) {
+        out.push_str(&self.text);
+        out.push('}');
+    }
+}
+
+/// A number written with a fixed count of decimals: `Fixed(74.25, 1)`
+/// writes `74.2`, `Fixed(1.0, 3)` writes `1.000`; non-finite ones `null`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Fixed(pub f64, pub usize);
+
+impl ToJson for Fixed {
+    fn write_json(&self, out: &mut String) {
+        if self.0.is_finite() {
+            let _ = write!(out, "{:.*}", self.1, self.0);
+        } else {
+            out.push_str("null");
+        }
+    }
+}
+
+/// Shortest round-trip digits; integral values keep a `.0`, so every
+/// finite value parses back as the same [`Json::Num`].
+impl ToJson for f64 {
+    fn write_json(&self, out: &mut String) {
+        if self.is_finite() && self.fract() != 0.0 {
+            let _ = write!(out, "{self}");
+        } else {
+            Fixed(*self, 1).write_json(out);
+        }
+    }
+}
+
+macro_rules! display_to_json {
+    ($($t:ty),*) => {$(
+        impl ToJson for $t {
+            fn write_json(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+        }
+    )*};
+}
+
+display_to_json!(bool, u32, u64, usize, i64);
+
+impl<T: ToJson + ?Sized> ToJson for &T {
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
+}
+
+impl ToJson for str {
+    fn write_json(&self, out: &mut String) {
+        out.push('"');
+        escape_into(out, self);
+        out.push('"');
+    }
+}
+
+impl ToJson for String {
+    fn write_json(&self, out: &mut String) {
+        self.as_str().write_json(out);
+    }
+}
+
+/// `None` writes `null`.
+impl<T: ToJson> ToJson for Option<T> {
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(value) => value.write_json(out),
+            None => out.push_str("null"),
+        }
+    }
+}
+
+impl<T: ToJson> ToJson for [T] {
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        for (i, item) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            item.write_json(out);
+        }
+        out.push(']');
+    }
+}
+
+impl<T: ToJson> ToJson for Vec<T> {
+    fn write_json(&self, out: &mut String) {
+        self.as_slice().write_json(out);
+    }
+}
+
+/// Objects write their members in key order.
+impl ToJson for Json {
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => b.write_json(out),
+            Json::Int(v) => v.write_json(out),
+            Json::Num(v) => v.write_json(out),
+            Json::Str(s) => s.write_json(out),
+            Json::Arr(items) => items.write_json(out),
+            Json::Obj(map) => {
+                map.iter().fold(Object::default(), |o, (k, v)| o.field(k, v)).write_json(out);
+            }
+        }
+    }
 }
 
 /// A parsed JSON value.
@@ -54,6 +243,15 @@ impl Json {
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             Json::Int(v) => Some(*v),
+            _ => None,
+        }
+    }
+
+    /// The value as `f64`, if it is a number.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Json::Int(v) => Some(*v as f64),
+            Json::Num(v) => Some(*v),
             _ => None,
         }
     }
@@ -97,18 +295,19 @@ impl std::error::Error for ParseError {}
 /// a hostile line fails typed instead of overflowing the stack.
 const MAX_DEPTH: usize = 128;
 
-/// Parses one JSON value (typically one JSONL line).
+/// Parses one JSON value (typically one JSONL line) in time linear in
+/// the input's length.
 ///
 /// # Errors
 ///
 /// Returns a [`ParseError`] on malformed input, trailing garbage, or
 /// arrays and objects nested more than 128 deep.
 pub fn parse(input: &str) -> Result<Json, ParseError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
+    let mut p = Parser { src: input, pos: 0, depth: 0 };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != input.len() {
         return Err(p.err("trailing characters"));
     }
     Ok(value)
@@ -124,7 +323,7 @@ pub fn parse_lines(input: &str) -> Result<Vec<Json>, ParseError> {
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
     /// Arrays and objects currently open around `pos`.
     depth: usize,
@@ -136,7 +335,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -155,7 +354,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, ParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.src.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -245,52 +444,66 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote or backslash as one slice:
+            // both are ASCII, so the run ends on a char boundary.
+            let start = self.pos;
+            while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                self.pos += 1;
+            }
+            out.push_str(&self.src[start..self.pos]);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                _ => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex =
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("unpaired surrogate"))?,
-                            );
-                            self.pos += 4;
-                        }
+                    let c = match self.peek() {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'n') => '\n',
+                        Some(b'r') => '\r',
+                        Some(b't') => '\t',
+                        Some(b'b') => '\u{8}',
+                        Some(b'f') => '\u{c}',
+                        Some(b'u') => self.unicode_escape()?,
                         _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Copy one UTF-8 scalar as-is.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("non-empty");
+                    };
                     out.push(c);
-                    self.pos += c.len_utf8();
+                    self.pos += 1;
                 }
             }
         }
+    }
+
+    /// Decodes the `\uXXXX` escape whose `u` is at `pos`, joining a UTF-16
+    /// surrogate pair (`\ud83d\ude00`); leaves `pos` on its last digit.
+    fn unicode_escape(&mut self) -> Result<char, ParseError> {
+        let high = self.hex4()?;
+        let code =
+            if (0xD800..0xDC00).contains(&high) && self.src[self.pos + 1..].starts_with("\\u") {
+                self.pos += 2;
+                let low = self.hex4()?;
+                if !(0xDC00..0xE000).contains(&low) {
+                    return Err(self.err("unpaired surrogate"));
+                }
+                0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00)
+            } else {
+                high
+            };
+        char::from_u32(code).ok_or_else(|| self.err("unpaired surrogate"))
+    }
+
+    /// The four hex digits after the `u` at `pos`; leaves `pos` on the last.
+    fn hex4(&mut self) -> Result<u32, ParseError> {
+        let hex = self.src.get(self.pos + 1..self.pos + 5).unwrap_or("");
+        if hex.len() != 4 || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+            return Err(self.err("bad \\u escape"));
+        }
+        self.pos += 4;
+        u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))
     }
 
     fn number(&mut self) -> Result<Json, ParseError> {
@@ -301,7 +514,7 @@ impl<'a> Parser<'a> {
         while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits are ASCII");
+        let text = &self.src[start..self.pos];
         if let Ok(v) = text.parse::<u64>() {
             return Ok(Json::Int(v));
         }
@@ -314,6 +527,7 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dmf_rng::{Rng, SeedableRng, StdRng};
 
     #[test]
     fn escapes_specials_and_control() {
@@ -347,10 +561,89 @@ mod tests {
     }
 
     #[test]
-    fn roundtrips_escaped_strings() {
-        let original = "quote\" slash\\ newline\n tab\t ctrl\u{1} unicode µ";
-        let wire = format!("\"{}\"", escape(original));
-        assert_eq!(parse(&wire).unwrap(), Json::Str(original.into()));
+    fn writer_keeps_insertion_order_and_escapes() {
+        let nested = Object::default().field("z", Vec::<u64>::new()).field("a", Object::default());
+        let line = Object::default()
+            .field("b", 1u64)
+            .field("a\"key", "x\ny")
+            .field("n", None::<u64>)
+            .field("f", Fixed(1.0, 3))
+            .field("pairs", vec![vec![1u64, 2], vec![3, 4]])
+            .field("nested", nested)
+            .finish();
+        assert_eq!(
+            line,
+            r#"{"b":1,"a\"key":"x\ny","n":null,"f":1.000,"pairs":[[1,2],[3,4]],"nested":{"z":[],"a":{}}}"#
+        );
+        assert_eq!(write(&-2.5f64), "-2.5");
+        assert_eq!(write(&2.0f64), "2.0");
+        assert_eq!(write(&f64::NAN), "null");
+        assert_eq!(write(&Fixed(74.25, 1)), "74.2");
+    }
+
+    /// A seeded random value: every control character, quotes,
+    /// backslashes and non-ASCII in strings; integer extremes; negative
+    /// and fractional numbers; empty and nested containers.
+    fn random_value(rng: &mut StdRng, depth: usize) -> Json {
+        const CHARS: [char; 8] = ['a', '"', '\\', '/', 'µ', '😀', '\u{7f}', '\u{2028}'];
+        let text = |rng: &mut StdRng| -> String {
+            (0..rng.gen_range(0..6usize))
+                .map(|_| match rng.gen_range(0..2u32) {
+                    0 => char::from(rng.gen_range(0..0x20u8)),
+                    _ => CHARS[rng.gen_range(0..CHARS.len())],
+                })
+                .collect()
+        };
+        match rng.gen_range(0..if depth == 0 { 5u32 } else { 7 }) {
+            0 => Json::Null,
+            1 => Json::Bool(rng.gen()),
+            2 => Json::Int([0, u64::MAX, rng.gen()][rng.gen_range(0..3usize)]),
+            3 => Json::Num((rng.gen::<f64>() - 0.75) * 10f64.powi(rng.gen_range(-8..20i32))),
+            4 => Json::Str(text(rng)),
+            5 => Json::Arr(
+                (0..rng.gen_range(0..4usize)).map(|_| random_value(rng, depth - 1)).collect(),
+            ),
+            _ => Json::Obj(
+                (0..rng.gen_range(0..4usize))
+                    .map(|_| (text(rng), random_value(rng, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    #[test]
+    fn written_values_parse_back_equal() {
+        let mut rng = StdRng::seed_from_u64(2014);
+        for _ in 0..2_000 {
+            let value = random_value(&mut rng, 3);
+            let text = write(&value);
+            assert_eq!(parse(&text).as_ref(), Ok(&value), "{text}");
+        }
+        let every_control: String = (0..0x20u8).map(char::from).collect();
+        let value = Json::Str(format!("{every_control}\"\\µ😀"));
+        assert_eq!(parse(&write(&value)), Ok(value));
+        assert_eq!(parse(&write(&Json::Int(u64::MAX))), Ok(Json::Int(u64::MAX)));
+    }
+
+    #[test]
+    fn decodes_surrogate_pairs_and_rejects_lone_halves() {
+        assert_eq!(parse(r#""\ud83d\ude00!""#), Ok(Json::Str("😀!".into())));
+        assert_eq!(parse(r#""\u00b5""#), Ok(Json::Str("µ".into())));
+        for lone in [r#""\ud83d""#, r#""\ud83dx""#, r#""\ude00""#, r#""\ud83d\u0041""#] {
+            assert_eq!(parse(lone).unwrap_err().message, "unpaired surrogate", "{lone}");
+        }
+        assert_eq!(parse(r#""\u+041""#).unwrap_err().message, "bad \\u escape");
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // Re-validating the rest of the input per character made this
+        // take 25 s in release; copying runs as slices takes milliseconds.
+        let line = format!(r#"{{"op":"plan","ratio":"{}","demand":20}}"#, "1".repeat(1_000_000));
+        let started = std::time::Instant::now();
+        let value = parse(&line).unwrap();
+        assert!(started.elapsed() < std::time::Duration::from_secs(1), "{:?}", started.elapsed());
+        assert_eq!(value.get("ratio").and_then(Json::as_str).map(str::len), Some(1_000_000));
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! this demand cost" except scraping `println!` output. This crate is the
 //! missing layer: a std-only [`Recorder`] of **spans** (wall-clock phase
 //! timings), **counters**, **gauges** and fixed-bucket **histograms**, a
-//! hand-rolled JSON-lines exporter (no serde), and a [`MetricsReport`]
-//! aggregator that folds a recorded session into the paper's vocabulary.
+//! JSON-lines exporter on the crate's own [`json`] writer (no serde), and
+//! a [`MetricsReport`] aggregator that folds a recorded session into the
+//! paper's vocabulary.
 //!
 //! # Model
 //!
@@ -28,8 +29,9 @@
 //!   (`Tms`), `plan.inputs` (`I`), `plan.cycles` (`Tc`),
 //!   `sim.storage_peak`, `sim.droplet_hops`, `sim.electrode_actuations`…
 //! * [`Snapshot`] / [`Recorder::export_jsonl`] serialize a session as
-//!   JSON lines (see `json` for the schema and the minimal parser used in
-//!   round-trip tests); [`MetricsReport`] renders the human summary table.
+//!   JSON lines (see [`Snapshot::write_jsonl`] for the schema and [`json`]
+//!   for the writer and parser); [`MetricsReport`] renders the human
+//!   summary table.
 //!
 //! # Examples
 //!
@@ -52,11 +54,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-// TODO(lint-wall): exempt from the workspace `unwrap_used`/`expect_used`/
-// `panic` deny wall. Remaining offenders are poisoned-mutex `expect`s in
-// `recorder` and provably-safe UTF-8/ASCII `expect`s in `json`; burn them
-// down and drop this crate-wide allow.
-#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod json;
 mod profile;

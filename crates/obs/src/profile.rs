@@ -7,6 +7,8 @@
 //! the raw spans serialise to Chrome trace-event JSON ([`chrome_trace`])
 //! loadable in Perfetto or `chrome://tracing`.
 
+use crate::json::{Fixed, Object};
+use crate::json_object;
 use crate::{fmt_ns, Snapshot, SpanRecord, Table};
 use dmf_hash::FnvBuildHasher;
 use std::collections::HashMap;
@@ -195,30 +197,23 @@ fn table_rows(node: &ProfileNode, depth: usize, report_total: u64, t: &mut Table
 pub fn chrome_trace(snapshot: &Snapshot) -> String {
     let mut spans: Vec<&SpanRecord> = snapshot.spans.iter().collect();
     spans.sort_by_key(|s| (s.start_ns, s.span_id));
-    let events: Vec<String> = spans
+    let hex = |id: u64| format!("{id:016x}");
+    let events: Vec<Object> = spans
         .iter()
         .map(|s| {
-            format!(
-                "{{\"name\":\"{}\",\"cat\":\"span\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                 \"pid\":1,\"tid\":{},\"args\":{{\"trace_id\":\"{:016x}\",\
-                 \"span_id\":\"{:016x}\",\"parent_id\":\"{:016x}\"}}}}",
-                crate::json::escape(s.name),
-                micros(s.start_ns),
-                micros(s.dur_ns),
-                s.tid,
-                s.trace_id,
-                s.span_id,
-                s.parent_id,
-            )
+            let ids = json_object!("trace_id": hex(s.trace_id), "span_id": hex(s.span_id),
+                "parent_id": hex(s.parent_id));
+            json_object!("name": s.name, "cat": "span", "ph": "X", "ts": micros(s.start_ns),
+                "dur": micros(s.dur_ns), "pid": 1u32, "tid": s.tid, "args": ids)
         })
         .collect();
-    format!("{{\"traceEvents\":[{}]}}\n", events.join(","))
+    json_object!("traceEvents": events).finish() + "\n"
 }
 
-/// Nanoseconds as a decimal microsecond literal with sub-µs precision
-/// (`1234` ns → `1.234`), the unit Chrome trace events use.
-fn micros(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1_000, ns % 1_000)
+/// Nanoseconds as microseconds with sub-µs precision (`1234` ns →
+/// `1.234`), the unit Chrome trace events use.
+fn micros(ns: u64) -> Fixed {
+    Fixed(ns as f64 / 1_000.0, 3)
 }
 
 #[cfg(test)]
@@ -335,9 +330,12 @@ mod tests {
 
     #[test]
     fn micros_renders_sub_microsecond_precision() {
-        assert_eq!(micros(0), "0.000");
-        assert_eq!(micros(1_234), "1.234");
-        assert_eq!(micros(999), "0.999");
+        let text = |ns| crate::json::write(&micros(ns));
+        assert_eq!(text(0), "0.000");
+        assert_eq!(text(1_234), "1.234");
+        assert_eq!(text(999), "0.999");
+        // A day-long session keeps every nanosecond digit.
+        assert_eq!(text(86_400_000_000_123), "86400000000.123");
     }
 
     #[test]

@@ -1,8 +1,9 @@
+use crate::json_object;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Write};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Number of fixed power-of-two buckets in a [`Histogram`].
@@ -280,8 +281,12 @@ impl Recorder {
         *inner = Inner::new(capacity);
     }
 
+    /// The store's guard. Every update leaves the store valid at each step
+    /// (independent counters, maps and a bounded deque, with no condition
+    /// across fields), so a guard poisoned by a panicking thread is
+    /// recovered rather than propagated.
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        self.inner.lock().expect("recorder poisoned")
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Starts a span; dropping the returned guard records it. Inert (and
@@ -612,50 +617,31 @@ impl Snapshot {
     ///
     /// Propagates write failures.
     pub fn write_jsonl(&self, w: &mut impl Write) -> io::Result<()> {
-        use crate::json::escape;
-        writeln!(
-            w,
-            "{{\"type\":\"meta\",\"version\":2,\"elapsed_ns\":{},\"spans_dropped\":{}}}",
-            self.elapsed_ns, self.spans_dropped
-        )?;
+        let hex = |id: u64| format!("{id:016x}");
+        let meta = json_object!("type": "meta", "version": 2u32, "elapsed_ns": self.elapsed_ns,
+            "spans_dropped": self.spans_dropped);
+        writeln!(w, "{}", meta.finish())?;
         for s in &self.spans {
-            writeln!(
-                w,
-                "{{\"type\":\"span\",\"name\":\"{}\",\"trace_id\":\"{:016x}\",\
-                 \"span_id\":\"{:016x}\",\"parent_id\":\"{:016x}\",\"tid\":{},\
-                 \"start_ns\":{},\"dur_ns\":{}}}",
-                escape(s.name),
-                s.trace_id,
-                s.span_id,
-                s.parent_id,
-                s.tid,
-                s.start_ns,
-                s.dur_ns
-            )?;
+            let span = json_object!("type": "span", "name": s.name, "trace_id": hex(s.trace_id),
+                "span_id": hex(s.span_id), "parent_id": hex(s.parent_id), "tid": s.tid,
+                "start_ns": s.start_ns, "dur_ns": s.dur_ns);
+            writeln!(w, "{}", span.finish())?;
         }
-        for (name, value) in &self.counters {
-            writeln!(
-                w,
-                "{{\"type\":\"counter\",\"name\":\"{}\",\"value\":{value}}}",
-                escape(name)
-            )?;
-        }
-        for (name, value) in &self.gauges {
-            writeln!(w, "{{\"type\":\"gauge\",\"name\":\"{}\",\"value\":{value}}}", escape(name))?;
+        for (kind, map) in [("counter", &self.counters), ("gauge", &self.gauges)] {
+            for (name, value) in map {
+                writeln!(
+                    w,
+                    "{}",
+                    json_object!("type": kind, "name": name, "value": value).finish()
+                )?;
+            }
         }
         for (name, h) in &self.histograms {
-            let buckets: Vec<String> =
-                h.nonzero_buckets().iter().map(|(i, c)| format!("[{i},{c}]")).collect();
-            writeln!(
-                w,
-                "{{\"type\":\"hist\",\"name\":\"{}\",\"count\":{},\"sum_ns\":{},\"min_ns\":{},\"max_ns\":{},\"buckets\":[{}]}}",
-                escape(name),
-                h.count,
-                h.sum_ns,
-                h.min_ns,
-                h.max_ns,
-                buckets.join(",")
-            )?;
+            let buckets: Vec<Vec<u64>> =
+                h.nonzero_buckets().iter().map(|&(i, c)| vec![i as u64, c]).collect();
+            let hist = json_object!("type": "hist", "name": name, "count": h.count,
+                "sum_ns": h.sum_ns, "min_ns": h.min_ns, "max_ns": h.max_ns, "buckets": buckets);
+            writeln!(w, "{}", hist.finish())?;
         }
         Ok(())
     }
@@ -664,6 +650,22 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_panic_under_the_lock_does_not_disable_the_recorder() {
+        let rec = Recorder::new();
+        rec.count("before", 1);
+        let crashed = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = rec.lock();
+                panic!("instrumented code panicked while recording");
+            })
+            .join()
+        });
+        assert!(crashed.is_err() && rec.inner.is_poisoned());
+        rec.count("after", 1);
+        assert_eq!((rec.counter("before"), rec.counter("after")), (1, 1));
+    }
 
     #[test]
     fn counters_accumulate_and_gauges_peak() {

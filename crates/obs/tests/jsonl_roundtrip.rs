@@ -1,6 +1,6 @@
-//! Round-trips a recorded session through the hand-rolled JSONL serializer
-//! and the minimal parser: escaping, stability of field ordering, and
-//! value fidelity.
+//! Round-trips a recorded session through the JSONL exporter and the
+//! minimal parser: escaping, stability of field ordering, and value
+//! fidelity.
 
 // Test target: the workspace `unwrap_used`/`expect_used`/`panic` deny wall
 // applies to library code only (see Cargo.toml).

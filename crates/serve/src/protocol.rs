@@ -35,7 +35,8 @@
 //! between runs.
 
 use dmf_engine::{EngineConfig, StreamPlan};
-use dmf_obs::json::{self, Json};
+use dmf_obs::json::{self, Json, Object};
+use dmf_obs::json_object;
 use dmf_obs::SpanRecord;
 use dmf_ratio::TargetRatio;
 use std::fmt;
@@ -230,21 +231,17 @@ pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
     }
 }
 
-fn plan_response_body(plan: &StreamPlan, fingerprint: u64) -> String {
-    format!(
-        "\"ok\":true,\"type\":\"plan\",\"fingerprint\":\"{fingerprint:016x}\",\
-         \"demand\":{},\"passes\":{},\"tc\":{},\"tms\":{},\"waste\":{},\"inputs\":{},\
-         \"storage_peak\":{},\"mixers\":{},\"summary\":\"{}\"",
-        plan.demand,
-        plan.passes.len(),
-        plan.total_cycles,
-        plan.total_mix_splits,
-        plan.total_waste,
-        plan.total_inputs,
-        plan.storage_peak,
-        plan.mixers,
-        json::escape(&plan.to_string()),
-    )
+/// A success response of `kind`, ready for its members: `{"ok":true,
+/// "type":kind,…}`.
+pub(crate) fn ok_response(kind: &str) -> Object {
+    json_object!("ok": true, "type": kind)
+}
+
+fn plan_object(plan: &StreamPlan, fingerprint: u64) -> Object {
+    json_object!(ok_response("plan"); "fingerprint": format!("{fingerprint:016x}"),
+        "demand": plan.demand, "passes": plan.passes.len(), "tc": plan.total_cycles,
+        "tms": plan.total_mix_splits, "waste": plan.total_waste, "inputs": plan.total_inputs,
+        "storage_peak": plan.storage_peak, "mixers": plan.mixers, "summary": plan.to_string())
 }
 
 /// The success response for a planned request.
@@ -252,7 +249,7 @@ fn plan_response_body(plan: &StreamPlan, fingerprint: u64) -> String {
 /// `fingerprint` is the request's [`dmf_engine::PlanKey::fingerprint`],
 /// rendered as 16 lowercase hex digits.
 pub fn plan_response(plan: &StreamPlan, fingerprint: u64) -> String {
-    format!("{{{}}}", plan_response_body(plan, fingerprint))
+    plan_object(plan, fingerprint).finish()
 }
 
 /// Like [`plan_response`], but for requests that asked for a trace
@@ -266,47 +263,35 @@ pub fn plan_response_traced(
     trace_id: u64,
     stages: &[SpanRecord],
 ) -> String {
-    let mut out = format!("{{{}", plan_response_body(plan, fingerprint));
-    out.push_str(&format!(",\"trace_id\":\"{trace_id:016x}\",\"stages\":["));
-    for (i, s) in stages.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"name\":\"{}\",\"start_ns\":{},\"dur_ns\":{}}}",
-            json::escape(s.name),
-            s.start_ns,
-            s.dur_ns,
-        ));
-    }
-    out.push_str("]}");
-    out
+    let stages: Vec<Object> = stages
+        .iter()
+        .map(|s| json_object!("name": s.name, "start_ns": s.start_ns, "dur_ns": s.dur_ns))
+        .collect();
+    json_object!(plan_object(plan, fingerprint);
+        "trace_id": format!("{trace_id:016x}"), "stages": stages)
+    .finish()
 }
 
 /// A typed error response; `code` is one of `bad_request`, `too_large`,
 /// `infeasible`, `unknown_algo`, `busy`, `deadline`, `plan_failed`,
 /// `shutting_down` or `internal`.
 pub fn error_response(code: &str, message: &str) -> String {
-    format!(
-        "{{\"ok\":false,\"error\":\"{}\",\"message\":\"{}\"}}",
-        json::escape(code),
-        json::escape(message)
-    )
+    json_object!("ok": false, "error": code, "message": message).finish()
 }
 
 /// The response to `{"op":"ping"}`.
 pub fn pong_response() -> String {
-    "{\"ok\":true,\"type\":\"pong\"}".to_owned()
+    ok_response("pong").finish()
 }
 
 /// The response to `{"op":"shutdown"}`.
 pub fn shutdown_response() -> String {
-    "{\"ok\":true,\"type\":\"shutdown\"}".to_owned()
+    ok_response("shutdown").finish()
 }
 
 /// The response to a test-only stall request.
 pub fn stalled_response(ms: u64) -> String {
-    format!("{{\"ok\":true,\"type\":\"stalled\",\"ms\":{ms}}}")
+    json_object!(ok_response("stalled"); "ms": ms).finish()
 }
 
 #[cfg(test)]
@@ -405,19 +390,18 @@ mod tests {
     }
 
     #[test]
-    fn responses_parse_back() {
-        let err = error_response("busy", "queue full \"now\"");
-        let v = json::parse(&err).unwrap();
-        assert_eq!(v.get("ok"), Some(&Json::Bool(false)));
-        assert_eq!(v.get("error").and_then(Json::as_str), Some("busy"));
-        assert_eq!(v.get("message").and_then(Json::as_str), Some("queue full \"now\""));
-        assert!(json::parse(&pong_response()).is_ok());
-        assert!(json::parse(&shutdown_response()).is_ok());
-        assert!(json::parse(&stalled_response(3)).is_ok());
+    fn control_and_error_responses_are_byte_exact() {
+        assert_eq!(pong_response(), r#"{"ok":true,"type":"pong"}"#);
+        assert_eq!(shutdown_response(), r#"{"ok":true,"type":"shutdown"}"#);
+        assert_eq!(stalled_response(3), r#"{"ok":true,"type":"stalled","ms":3}"#);
+        assert_eq!(
+            error_response("busy", "queue full \"now\"\n"),
+            r#"{"ok":false,"error":"busy","message":"queue full \"now\"\n"}"#
+        );
     }
 
     #[test]
-    fn traced_plan_response_parses_back_with_stages() {
+    fn plan_responses_are_byte_exact_and_parse_back() {
         let plan = dmf_engine::StreamingEngine::new(EngineConfig::default())
             .plan(&"2:1:1:1:1:1:9".parse::<TargetRatio>().unwrap(), 20)
             .unwrap();
@@ -442,14 +426,31 @@ mod tests {
             },
         ];
         let line = plan_response_traced(&plan, 0x1234, 0xabc, &stages);
+        let plain = plan_response(&plan, 0x1234);
+        assert_eq!(
+            plain,
+            concat!(
+                r#"{"ok":true,"type":"plan","fingerprint":"0000000000001234","demand":20,"#,
+                r#""passes":1,"tc":11,"tms":27,"waste":5,"inputs":25,"storage_peak":5,"mixers":3,"#,
+                r#""summary":"D=20 passes=1 Tc=11 Tms=27 W=5 I=25 q=5 (Mc=3)"}"#,
+            )
+        );
+        assert_eq!(
+            line,
+            format!(
+                "{},{}}}",
+                &plain[..plain.len() - 1],
+                concat!(
+                    r#""trace_id":"0000000000000abc","stages":[{"name":"serve_queue_wait","#,
+                    r#""start_ns":10,"dur_ns":5},{"name":"stage_schedule","start_ns":20,"dur_ns":7}]"#,
+                )
+            )
+        );
         let v = json::parse(&line).unwrap();
         assert_eq!(v.get("trace_id").and_then(Json::as_str), Some("0000000000000abc"));
         let Some(Json::Arr(out)) = v.get("stages") else { panic!("stages must be an array") };
         assert_eq!(out.len(), 2);
         assert_eq!(out[1].get("name").and_then(Json::as_str), Some("stage_schedule"));
         assert_eq!(out[1].get("dur_ns").and_then(Json::as_u64), Some(7));
-        // The untraced response is the traced one minus the trace members.
-        let plain = plan_response(&plan, 0x1234);
-        assert!(line.starts_with(&plain[..plain.len() - 1]));
     }
 }

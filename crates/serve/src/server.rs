@@ -16,7 +16,7 @@
 use crate::protocol::{self, PlanSpec, Request};
 use crate::queue::{BoundedQueue, PushError};
 use dmf_engine::{PlanCache, PlanKey, StreamingEngine, DEFAULT_PLAN_CACHE_CAPACITY};
-use dmf_obs::Recorder;
+use dmf_obs::{json_object, Recorder};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -38,6 +38,17 @@ const MAX_LINE_BYTES: usize = 1 << 20;
 /// input after its reply, so the peer reads `too_large` rather than a
 /// reset from closing a socket with unread data.
 const REFUSAL_LINGER: Duration = Duration::from_secs(1);
+
+/// The counters `stats` reports first, in wire order; each member is
+/// named after its counter, `serve.` dropped and `.` spelled `_`
+/// (`serve.op.plan` → `op_plan`).
+#[rustfmt::skip]
+const STATS_COUNTERS: [&str; 18] = [
+    "serve.requests", "serve.connections", "serve.planned", "serve.plan_failed",
+    "serve.bad_request", "serve.too_large", "serve.infeasible", "serve.unknown_algo",
+    "serve.busy", "serve.deadline", "serve.slow", "serve.op.plan", "serve.op.stats",
+    "serve.op.ping", "serve.op.shutdown", "serve.op.stall", "serve.enqueued", "serve.dequeued",
+];
 
 /// Configuration of a [`Server`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -506,45 +517,17 @@ impl Server {
         let (p50, p90, p99) = latency
             .map_or((0, 0, 0), |h| (h.percentile(0.50), h.percentile(0.90), h.percentile(0.99)));
         let cache = self.cache.stats();
-        format!(
-            "{{\"ok\":true,\"type\":\"stats\",\
-             \"requests\":{},\"connections\":{},\"planned\":{},\"plan_failed\":{},\
-             \"bad_request\":{},\"too_large\":{},\"infeasible\":{},\"unknown_algo\":{},\
-             \"busy\":{},\"deadline\":{},\"slow\":{},\
-             \"op_plan\":{},\"op_stats\":{},\"op_ping\":{},\"op_shutdown\":{},\"op_stall\":{},\
-             \"enqueued\":{},\"dequeued\":{},\
-             \"latency_count\":{latency_count},\"latency_mean_ns\":{latency_mean_ns},\
-             \"latency_p50_ns\":{p50},\"latency_p90_ns\":{p90},\"latency_p99_ns\":{p99},\
-             \"workers\":{},\"queue_depth\":{},\"queue_depth_peak\":{},\
-             \"cache_len\":{},\"cache_capacity\":{},\"cache_shards\":{},\"cache_hits\":{},\
-             \"cache_misses\":{},\"cache_evictions\":{}}}",
-            counter("serve.requests"),
-            counter("serve.connections"),
-            counter("serve.planned"),
-            counter("serve.plan_failed"),
-            counter("serve.bad_request"),
-            counter("serve.too_large"),
-            counter("serve.infeasible"),
-            counter("serve.unknown_algo"),
-            counter("serve.busy"),
-            counter("serve.deadline"),
-            counter("serve.slow"),
-            counter("serve.op.plan"),
-            counter("serve.op.stats"),
-            counter("serve.op.ping"),
-            counter("serve.op.shutdown"),
-            counter("serve.op.stall"),
-            counter("serve.enqueued"),
-            counter("serve.dequeued"),
-            self.config.workers.max(1),
-            self.config.queue_depth.max(1),
-            snapshot.gauges.get("serve.queue_depth").copied().unwrap_or(0),
-            cache.len,
-            cache.capacity,
-            self.cache.shard_count(),
-            cache.hits,
-            cache.misses,
-            cache.evictions,
-        )
+        let stats = STATS_COUNTERS.iter().fold(protocol::ok_response("stats"), |o, name| {
+            o.field(&name.trim_start_matches("serve.").replace('.', "_"), counter(name))
+        });
+        let queue_depth_peak = snapshot.gauges.get("serve.queue_depth").copied().unwrap_or(0);
+        json_object!(stats; "latency_count": latency_count, "latency_mean_ns": latency_mean_ns,
+            "latency_p50_ns": p50, "latency_p90_ns": p90, "latency_p99_ns": p99,
+            "workers": self.config.workers.max(1), "queue_depth": self.config.queue_depth.max(1),
+            "queue_depth_peak": queue_depth_peak, "cache_len": cache.len,
+            "cache_capacity": cache.capacity, "cache_shards": self.cache.shard_count(),
+            "cache_hits": cache.hits, "cache_misses": cache.misses,
+            "cache_evictions": cache.evictions)
+        .finish()
     }
 }

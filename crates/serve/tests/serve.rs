@@ -83,6 +83,35 @@ fn plan_round_trip_matches_the_paper_and_the_cache_key() {
 }
 
 #[test]
+fn stats_members_keep_their_wire_order() {
+    let config = ServeConfig {
+        workers: 2,
+        queue_depth: 64,
+        cache_capacity: 256,
+        cache_shards: 4,
+        ..test_config()
+    };
+    let mut stats = String::new();
+    with_server(config, |_, addr| {
+        let mut client = Client::connect(addr).unwrap();
+        client.request(r#"{"op":"ping"}"#).unwrap();
+        stats = client.request(r#"{"op":"stats"}"#).unwrap();
+    });
+    assert_eq!(
+        stats,
+        concat!(
+            r#"{"ok":true,"type":"stats","requests":2,"connections":1,"planned":0,"plan_failed":0,"#,
+            r#""bad_request":0,"too_large":0,"infeasible":0,"unknown_algo":0,"busy":0,"deadline":0,"#,
+            r#""slow":0,"op_plan":0,"op_stats":1,"op_ping":1,"op_shutdown":0,"op_stall":0,"#,
+            r#""enqueued":0,"dequeued":0,"latency_count":0,"latency_mean_ns":0,"latency_p50_ns":0,"#,
+            r#""latency_p90_ns":0,"latency_p99_ns":0,"workers":2,"queue_depth":64,"#,
+            r#""queue_depth_peak":0,"cache_len":0,"cache_capacity":256,"cache_shards":4,"#,
+            r#""cache_hits":0,"cache_misses":0,"cache_evictions":0}"#,
+        )
+    );
+}
+
+#[test]
 fn config_overrides_change_the_fingerprint_and_plan() {
     with_server(test_config(), |_, addr| {
         let mut client = Client::connect(addr).unwrap();
@@ -161,6 +190,31 @@ fn a_deeply_nested_line_is_a_bad_request_and_the_server_keeps_serving() {
         let v = json::parse(&stats).unwrap();
         assert_eq!(v.get("too_large").and_then(Json::as_u64), Some(1), "{stats}");
         assert_eq!(v.get("bad_request").and_then(Json::as_u64), Some(1), "{stats}");
+    });
+}
+
+#[test]
+fn a_megabyte_string_member_is_refused_quickly_and_the_server_keeps_serving() {
+    with_server(test_config(), |_, addr| {
+        // Parsing each string character against the rest of the line made
+        // this 1 MB line pin the connection thread for ~25 s.
+        let mut client = Client::connect(addr).unwrap();
+        let ratio = "1".repeat(1_000_000);
+        let started = Instant::now();
+        let line =
+            client.request(&format!(r#"{{"op":"plan","ratio":"{ratio}","demand":20}}"#)).unwrap();
+        assert!(started.elapsed() < Duration::from_secs(2), "took {:?}", started.elapsed());
+        let v = json::parse(&line).unwrap();
+        assert_eq!(v.get("error").and_then(Json::as_str), Some("bad_request"), "{line}");
+
+        let line =
+            client.request(&format!(r#"{{"op":"plan","ratio":"{PCR}","demand":20}}"#)).unwrap();
+        let v = json::parse(&line).unwrap();
+        assert_eq!(
+            v.get("summary").and_then(Json::as_str),
+            Some("D=20 passes=1 Tc=11 Tms=27 W=5 I=25 q=5 (Mc=3)"),
+            "{line}"
+        );
     });
 }
 

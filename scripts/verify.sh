@@ -56,6 +56,16 @@ grep -q '"version":1' /tmp/dmf_check_findings.json || {
   exit 1
 }
 
+echo "==> broken-pipe gate (stdout closed early by head: exit 0, empty stderr)"
+set +e
+target/release/dmfstream simulate 2:1:1:1:1:1:9 --demand 2000 --trace 2>/tmp/dmf_epipe.err | head -1 >/dev/null
+epipe_code=${PIPESTATUS[0]}
+set -e
+[ "$epipe_code" -eq 0 ] && [ ! -s /tmp/dmf_epipe.err ] || {
+  echo "broken-pipe gate: exit $epipe_code, stderr: $(head -c 300 /tmp/dmf_epipe.err)"
+  exit 1
+}
+
 echo "==> infeasible request gate (FEAS001 must reject 1:2 pre-planning, exit 1)"
 if infeasible_out=$(target/release/dmfstream check 1:2 --demand 4 2>&1); then
   echo "infeasible gate: check 1:2 exited 0; output: $infeasible_out"
@@ -70,9 +80,8 @@ if target/release/dmfstream plan 1:2 --demand 4 >/dev/null 2>&1; then
   exit 1
 fi
 
-echo "==> bench_backends smoke (demand met under every backend; direct yield bounds pinned yields; wear-aware peak < wear-blind)"
+echo "==> bench_backends (demand met under every backend; direct yield bounds pinned yields; wear-aware peak < wear-blind; every figure equals results/BENCH_backends.json)"
 cargo run --release -q -p dmf-bench --bin bench_backends -- /tmp/dmf_bench_backends.json >/dev/null
-[ -s /tmp/dmf_bench_backends.json ] || { echo "bench_backends: no JSON written"; exit 1; }
 
 echo "==> batch determinism smoke (check --jobs 4 output must match --jobs 1)"
 cargo run --release -q --bin dmfstream -- check --all-protocols --jobs 1 > /tmp/dmf_check_j1.txt
@@ -122,56 +131,10 @@ printf '%s' "$unknown_sched_out" | grep -q 'unknown scheduler "nonesuch" (regist
   exit 1
 }
 
-echo "==> bench_plan (plan cache micro-benchmark; warm hit must be >= 10x faster, no warm-cache regression vs results/BENCH_plan.json)"
+echo "==> bench_plan (warm hit >= 10x cold and >= half the committed speedup; >= 500 batch requests; jobs curve scaled to this machine)"
+# bench_plan reads the committed results/BENCH_plan.json (which must carry
+# a jobs_curve) and enforces every bound itself, exiting non-zero on a miss.
 cargo run --release -q -p dmf-bench --bin bench_plan -- /tmp/dmf_bench_plan.json >/dev/null
-recorded_speedup=$(sed -n 's/.*"warm_speedup": \([0-9.]*\).*/\1/p' results/BENCH_plan.json | head -1)
-fresh_speedup=$(sed -n 's/.*"warm_speedup": \([0-9.]*\).*/\1/p' /tmp/dmf_bench_plan.json | head -1)
-[ -n "$recorded_speedup" ] && [ -n "$fresh_speedup" ] || {
-  echo "bench_plan: could not extract warm_speedup (recorded='$recorded_speedup' fresh='$fresh_speedup')"
-  exit 1
-}
-# Machine-noise tolerance: the fresh warm-cache speedup must stay within
-# 2x of the committed baseline (and bench_plan itself enforces >= 10x).
-awk -v fresh="$fresh_speedup" -v recorded="$recorded_speedup" \
-  'BEGIN { exit !(fresh * 2.0 >= recorded) }' || {
-  echo "bench_plan: warm-cache speedup regressed: fresh ${fresh_speedup}x vs recorded ${recorded_speedup}x"
-  exit 1
-}
-
-echo "==> bench_plan jobs curve (parallel batch gate, scaled to this machine)"
-# The committed exhibit must carry the jobs curve, and the fresh run must
-# show parallel planning paying off: on >= 4 hardware threads, jobs=4 must
-# halve the jobs=1 wall time; on narrower machines (a 2x parallel speedup
-# is physically impossible there) jobs=4 must not lose to jobs=1 beyond
-# thread-timeslice noise. bench_plan enforces the same bound internally;
-# this re-checks the numbers it wrote so the gate survives exhibit edits.
-grep -q '"jobs_curve"' results/BENCH_plan.json || {
-  echo "bench_plan: committed results/BENCH_plan.json is missing the jobs_curve"
-  exit 1
-}
-batch_requests=$(sed -n 's/.*"requests": \([0-9]*\).*/\1/p' /tmp/dmf_bench_plan.json | head -1)
-parallelism=$(sed -n 's/.*"parallelism": \([0-9]*\).*/\1/p' /tmp/dmf_bench_plan.json | head -1)
-jobs1_ns=$(sed -n 's/.*"jobs1_wall_ns": \([0-9]*\).*/\1/p' /tmp/dmf_bench_plan.json | head -1)
-jobs4_ns=$(sed -n 's/.*"jobs4_wall_ns": \([0-9]*\).*/\1/p' /tmp/dmf_bench_plan.json | head -1)
-[ -n "$batch_requests" ] && [ -n "$parallelism" ] && [ -n "$jobs1_ns" ] && [ -n "$jobs4_ns" ] || {
-  echo "bench_plan: could not extract the jobs curve from /tmp/dmf_bench_plan.json"
-  exit 1
-}
-[ "$batch_requests" -ge 500 ] || {
-  echo "bench_plan: batch has only $batch_requests requests (gate needs >= 500)"
-  exit 1
-}
-if [ "$parallelism" -ge 4 ]; then
-  awk -v j1="$jobs1_ns" -v j4="$jobs4_ns" 'BEGIN { exit !(j4 * 2 <= j1) }' || {
-    echo "bench_plan: jobs=4 (${jobs4_ns}ns) is not 2x faster than jobs=1 (${jobs1_ns}ns) on $parallelism threads"
-    exit 1
-  }
-else
-  awk -v j1="$jobs1_ns" -v j4="$jobs4_ns" 'BEGIN { exit !(j4 <= j1 * 1.15) }' || {
-    echo "bench_plan: jobs=4 (${jobs4_ns}ns) regressed past jobs=1 (${jobs1_ns}ns) on a ${parallelism}-thread machine"
-    exit 1
-  }
-fi
 
 echo "==> bench_obs (tracing overhead gate: enabled sweep <= 10% over disabled)"
 cargo run --release -q -p dmf-bench --bin bench_obs -- /tmp/dmf_bench_obs.json >/dev/null
@@ -214,9 +177,7 @@ for _ in $(seq 1 100); do
 done
 serve_addr=$(sed -n 's/^listening on //p' "$serve_log" | head -1)
 [ -n "$serve_addr" ] || { echo "serve smoke: server never announced its address"; exit 1; }
-# No pipe to head here: head closing early races the writer into an EPIPE panic.
-plan_full=$(target/release/dmfstream plan 2:1:1:1:1:1:9 --demand 20)
-plan_summary=${plan_full%%$'\n'*}
+plan_summary=$(target/release/dmfstream plan 2:1:1:1:1:1:9 --demand 20 | head -1)
 served=$(target/release/dmfstream request 2:1:1:1:1:1:9 --demand 20 --connect "$serve_addr")
 served_summary=$(printf '%s' "$served" | sed -n 's/.*"summary":"\([^"]*\)".*/\1/p')
 [ "$served_summary" = "$plan_summary" ] || {
@@ -282,6 +243,17 @@ printf '%s' "$oversized_reply" | grep -q '"error":"too_large"' || {
 }
 [ "$oversized_eof" -eq 1 ] || {
   echo "serve smoke: connection stayed open after too_large (read status $oversized_eof)"
+  exit 1
+}
+# A 1,000,000-byte string member must be refused bad_request within 2 s
+# (the parser is linear in the line length).
+exec 3<>"/dev/tcp/${serve_addr%:*}/${serve_addr##*:}"
+printf '{"op":"plan","ratio":"%s","demand":20}\n' "$(head -c 1000000 /dev/zero | tr '\0' '1')" >&3
+long_reply=""
+read -r -t 2 long_reply <&3 || true
+exec 3<&-
+printf '%s' "$long_reply" | grep -q '"error":"bad_request"' || {
+  echo "serve smoke: a 1 MB string member was not answered bad_request within 2 s: ${long_reply:0:200}"
   exit 1
 }
 served=$(target/release/dmfstream request 2:1:1:1:1:1:9 --demand 20 --connect "$serve_addr")

@@ -53,6 +53,8 @@ use dmfstream::engine::{
 use dmfstream::fault::{run_campaign, Campaign, FaultConfig, WearTracker};
 use dmfstream::mixalgo::ALGORITHMS;
 use dmfstream::obs;
+use dmfstream::obs::json::{self, Json};
+use dmfstream::obs::json_object;
 use dmfstream::pins::BackendKind;
 use dmfstream::ratio::TargetRatio;
 use dmfstream::registry::Registry;
@@ -62,6 +64,29 @@ use dmfstream::sim::Simulator;
 use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::process::ExitCode;
+
+/// `println!` for command output. A reader that closes stdout early
+/// (`dmfstream … | head -1`) ends the process quietly with status 0
+/// rather than a "Broken pipe" panic.
+macro_rules! outln {
+    () => {
+        outln!("")
+    };
+    ($($arg:tt)*) => {
+        emit_line(format_args!($($arg)*))
+    };
+}
+
+fn emit_line(line: std::fmt::Arguments<'_>) {
+    use std::io::Write as _;
+    if let Err(e) = writeln!(std::io::stdout(), "{line}") {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: cannot write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
 
 struct Args {
     command: String,
@@ -367,20 +392,14 @@ fn print_registries(algorithms: bool, schedulers: bool) {
 }
 
 fn print_registry<T: ?Sized>(registry: &Registry<T>) {
-    println!("{}s:", registry.kind());
+    outln!("{}s:", registry.kind());
     for entry in registry.entries() {
         let aliases = if entry.aliases.is_empty() {
             String::new()
         } else {
             format!(" (aliases: {})", entry.aliases.join(", "))
         };
-        println!(
-            "  {:<8} {:<6} {}{}",
-            entry.id.key(),
-            entry.id.label(),
-            entry.description,
-            aliases
-        );
+        outln!("  {:<8} {:<6} {}{}", entry.id.key(), entry.id.label(), entry.description, aliases);
     }
 }
 
@@ -444,7 +463,7 @@ fn main() -> ExitCode {
             Ok(()) => eprintln!("metrics written to {}", path.display()),
             Err(e) => eprintln!("error: cannot write metrics to {}: {e}", path.display()),
         }
-        println!("\n{}", obs::MetricsReport::from_recorder(obs::global()));
+        outln!("\n{}", obs::MetricsReport::from_recorder(obs::global()));
     }
     code
 }
@@ -491,10 +510,10 @@ fn run(args: &Args) -> ExitCode {
     };
     match args.command.as_str() {
         "plan" => {
-            println!("{plan}");
-            println!("I[] = {:?}", plan.inputs);
+            outln!("{plan}");
+            outln!("I[] = {:?}", plan.inputs);
             for (i, pass) in plan.passes.iter().enumerate() {
-                println!(
+                outln!(
                     "pass {}: D'={} Tc={} q={} Tms={}",
                     i + 1,
                     pass.demand,
@@ -505,7 +524,7 @@ fn run(args: &Args) -> ExitCode {
             }
             if let Some(backend) = args.backend {
                 match backend_pins(backend, ratio, plan.mixers, plan.storage_peak.max(1)) {
-                    Ok(line) => println!("{line}"),
+                    Ok(line) => outln!("{line}"),
                     Err(e) => {
                         eprintln!("error: {e}");
                         return ExitCode::FAILURE;
@@ -515,10 +534,10 @@ fn run(args: &Args) -> ExitCode {
             ExitCode::SUCCESS
         }
         "gantt" => {
-            println!("{plan}");
+            outln!("{plan}");
             for (i, pass) in plan.passes.iter().enumerate() {
-                println!("\npass {}:", i + 1);
-                println!("{}", pass.schedule.gantt(&pass.forest));
+                outln!("\npass {}:", i + 1);
+                outln!("{}", pass.schedule.gantt(&pass.forest));
             }
             ExitCode::SUCCESS
         }
@@ -531,7 +550,7 @@ fn run(args: &Args) -> ExitCode {
                         return ExitCode::FAILURE;
                     }
                 };
-            println!("{}", chip.render());
+            outln!("{}", chip.render());
             for (i, pass) in plan.passes.iter().enumerate() {
                 let program = match realize_pass(pass, &chip) {
                     Ok(p) => p,
@@ -543,7 +562,7 @@ fn run(args: &Args) -> ExitCode {
                 let simulator = Simulator::new(&chip);
                 let outcome = if args.trace {
                     simulator.run_traced(&program).map(|(report, trace)| {
-                        println!("{}", trace.render());
+                        outln!("{}", trace.render());
                         report
                     })
                 } else {
@@ -551,9 +570,9 @@ fn run(args: &Args) -> ExitCode {
                 };
                 match outcome {
                     Ok(report) => {
-                        println!("pass {}: {report}", i + 1);
+                        outln!("pass {}: {report}", i + 1);
                         if let Some((cell, n)) = report.hottest_electrode() {
-                            println!("  hottest electrode: {cell} with {n} actuations");
+                            outln!("  hottest electrode: {cell} with {n} actuations");
                         }
                     }
                     Err(e) => {
@@ -594,11 +613,11 @@ fn run_plan_all(args: &Args) -> ExitCode {
     let results = plan_batch(&requests, &batch_options(args));
     let mut failed = false;
     for (protocol, outcome) in protocols.iter().zip(&results) {
-        println!("== {} ({}) ==", protocol.id, protocol.name);
+        outln!("== {} ({}) ==", protocol.id, protocol.name);
         match outcome {
             Ok(plan) => {
-                println!("{plan}");
-                println!("I[] = {:?}", plan.inputs);
+                outln!("{plan}");
+                outln!("I[] = {:?}", plan.inputs);
                 if let Some(backend) = args.backend {
                     match backend_pins(
                         backend,
@@ -606,7 +625,7 @@ fn run_plan_all(args: &Args) -> ExitCode {
                         plan.mixers,
                         plan.storage_peak.max(1),
                     ) {
-                        Ok(line) => println!("{line}"),
+                        Ok(line) => outln!("{line}"),
                         Err(e) => {
                             eprintln!("error: {}: {e}", protocol.id);
                             failed = true;
@@ -619,7 +638,7 @@ fn run_plan_all(args: &Args) -> ExitCode {
                 failed = true;
             }
         }
-        println!();
+        outln!();
     }
     if failed {
         ExitCode::FAILURE
@@ -647,7 +666,7 @@ fn run_check(args: &Args) -> ExitCode {
     if let Some(text) = &args.explain {
         return match RuleCode::parse(text) {
             Some(code) => {
-                println!("{code} — {}\n\n{}", code.summary(), code.explain());
+                outln!("{code} — {}\n\n{}", code.summary(), code.explain());
                 ExitCode::SUCCESS
             }
             None => {
@@ -844,9 +863,9 @@ fn run_check(args: &Args) -> ExitCode {
         }
         combined.merge(report);
     }
-    println!("{summary}");
+    outln!("{summary}");
     if !combined.is_empty() {
-        println!("\n{}", combined.table());
+        outln!("\n{}", combined.table());
     }
     if let Some(path) = &args.report {
         if let Some(parent) = path.parent() {
@@ -871,7 +890,7 @@ fn run_check(args: &Args) -> ExitCode {
     } else if failed {
         ExitCode::FAILURE
     } else {
-        println!("check: {} target(s), {} diagnostics — all clean", targets.len(), combined.len());
+        outln!("check: {} target(s), {} diagnostics — all clean", targets.len(), combined.len());
         ExitCode::SUCCESS
     }
 }
@@ -880,18 +899,9 @@ fn run_check(args: &Args) -> ExitCode {
 /// parses it back through [`obs::json`] before reporting success — the
 /// `findings json parse OK` line means the file really is loadable.
 fn write_findings_json(path: &PathBuf, combined: &dmfstream::check::CheckReport) -> bool {
-    let mut doc = format!(
-        "{{\"version\":1,\"errors\":{},\"warnings\":{},\"findings\":[",
-        combined.error_count(),
-        combined.warning_count()
-    );
-    for (i, diagnostic) in combined.diagnostics().iter().enumerate() {
-        if i > 0 {
-            doc.push(',');
-        }
-        doc.push_str(&diagnostic.to_json());
-    }
-    doc.push_str("]}");
+    let doc = json_object!("version": 1u32, "errors": combined.error_count(),
+        "warnings": combined.warning_count(), "findings": combined.diagnostics())
+    .finish();
     if let Some(parent) = path.parent() {
         let _ = std::fs::create_dir_all(parent);
     }
@@ -899,14 +909,14 @@ fn write_findings_json(path: &PathBuf, combined: &dmfstream::check::CheckReport)
         eprintln!("error: cannot write findings to {}: {e}", path.display());
         return false;
     }
-    match obs::json::parse(&doc) {
+    match json::parse(&doc) {
         Ok(v) => {
             let findings = match v.get("findings") {
-                Some(obs::json::Json::Arr(findings)) => findings.len(),
+                Some(Json::Arr(findings)) => findings.len(),
                 _ => 0,
             };
             eprintln!("findings written to {}", path.display());
-            println!("findings json parse OK: {findings} findings");
+            outln!("findings json parse OK: {findings} findings");
             true
         }
         Err(e) => {
@@ -946,17 +956,17 @@ fn run_profile(args: &Args) -> ExitCode {
             }
         }
     };
-    println!("{plan}");
+    outln!("{plan}");
     let snapshot = recorder.snapshot();
     let report = obs::ProfileReport::from_snapshot(&snapshot);
-    println!("\n{report}");
+    outln!("\n{report}");
     let mut failed = false;
     let mut write = |path: &PathBuf, payload: &str, what: &str| {
         if let Some(parent) = path.parent() {
             let _ = std::fs::create_dir_all(parent);
         }
         match std::fs::write(path, payload) {
-            Ok(()) => println!("{what} written to {}", path.display()),
+            Ok(()) => outln!("{what} written to {}", path.display()),
             Err(e) => {
                 eprintln!("error: cannot write {what} to {}: {e}", path.display());
                 failed = true;
@@ -969,13 +979,13 @@ fn run_profile(args: &Args) -> ExitCode {
     if let Some(path) = &args.chrome {
         let trace = obs::chrome_trace(&snapshot);
         write(path, &trace, "chrome trace");
-        match obs::json::parse(&trace) {
+        match json::parse(&trace) {
             Ok(v) => {
                 let events = match v.get("traceEvents") {
-                    Some(obs::json::Json::Arr(events)) => events.len(),
+                    Some(Json::Arr(events)) => events.len(),
                     _ => 0,
                 };
-                println!("chrome trace parse OK: {events} events");
+                outln!("chrome trace parse OK: {events} events");
             }
             Err(e) => {
                 eprintln!("error: chrome trace does not parse back: {e}");
@@ -1004,7 +1014,7 @@ fn run_serve(args: &Args) -> ExitCode {
     };
     match server.local_addr() {
         Ok(addr) => {
-            println!("listening on {addr}");
+            outln!("listening on {addr}");
             // The line must reach a piping consumer before we block.
             let _ = std::io::stdout().flush();
         }
@@ -1031,34 +1041,31 @@ fn run_serve(args: &Args) -> ExitCode {
 /// would with the same flags.
 fn request_line(args: &Args) -> Result<String, String> {
     match args.op.as_str() {
-        "stats" | "ping" | "shutdown" => Ok(format!("{{\"op\":\"{}\"}}", args.op)),
+        "stats" | "ping" | "shutdown" => Ok(json_object!("op": &args.op).finish()),
         "plan" => {
             let parts = args.ratio.as_ref().ok_or("request --op plan needs a target ratio")?;
             let defaults = EngineConfig::default();
-            let mut members = vec![
-                format!("\"op\":\"plan\""),
-                format!("\"ratio\":\"{}\"", ratio_text(parts)),
-                format!("\"demand\":{}", args.demand),
-            ];
+            let mut line =
+                json_object!("op": "plan", "ratio": ratio_text(parts), "demand": args.demand);
             if args.config.algorithm != defaults.algorithm {
-                members.push(format!("\"algorithm\":\"{}\"", args.config.algorithm.key()));
+                line = line.field("algorithm", args.config.algorithm.key());
             }
             if args.config.scheduler != defaults.scheduler {
-                members.push(format!("\"scheduler\":\"{}\"", args.config.scheduler.key()));
+                line = line.field("scheduler", args.config.scheduler.key());
             }
             if let dmfstream::engine::MixerBudget::Fixed(mixers) = args.config.mixers {
-                members.push(format!("\"mixers\":{mixers}"));
+                line = line.field("mixers", mixers);
             }
             if let Some(storage) = args.config.storage_limit {
-                members.push(format!("\"storage\":{storage}"));
+                line = line.field("storage", storage);
             }
             if let Some(ms) = args.deadline_ms {
-                members.push(format!("\"deadline_ms\":{ms}"));
+                line = line.field("deadline_ms", ms);
             }
             if args.trace {
-                members.push("\"trace\":true".to_owned());
+                line = line.field("trace", true);
             }
-            Ok(format!("{{{}}}", members.join(",")))
+            Ok(line.finish())
         }
         other => Err(format!("unknown --op {other:?} (expected plan, stats, ping or shutdown)")),
     }
@@ -1081,8 +1088,8 @@ fn run_request(args: &Args) -> ExitCode {
     let response = Client::connect(connect).and_then(|mut client| client.request(&line));
     match response {
         Ok(response) => {
-            println!("{response}");
-            if response.starts_with("{\"ok\":true") {
+            outln!("{response}");
+            if json::parse(&response).is_ok_and(|v| v.get("ok") == Some(&Json::Bool(true))) {
                 ExitCode::SUCCESS
             } else {
                 ExitCode::FAILURE
@@ -1107,19 +1114,19 @@ fn run_fault(args: &Args, ratio: &TargetRatio) -> ExitCode {
     match run_campaign(ratio, args.demand, &campaign, PlanCache::shared(), &mut wear) {
         Ok(outcome) => {
             if let Some(backend) = args.backend {
-                println!("backend: {backend}");
+                outln!("backend: {backend}");
             }
-            println!("{outcome}");
+            outln!("{outcome}");
             if args.trace {
                 for (i, trace) in outcome.traces.iter().enumerate() {
-                    println!("\nrun {}:", i + 1);
-                    println!("{}", trace.render());
+                    outln!("\nrun {}:", i + 1);
+                    outln!("{}", trace.render());
                 }
             }
             if !outcome.dead_cells.is_empty() {
                 let rendered: Vec<String> =
                     outcome.dead_cells.iter().map(|c| c.to_string()).collect();
-                println!("diagnosed dead electrodes: {}", rendered.join(" "));
+                outln!("diagnosed dead electrodes: {}", rendered.join(" "));
             }
             if outcome.demand_met() {
                 ExitCode::SUCCESS
